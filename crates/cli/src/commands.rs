@@ -1201,17 +1201,49 @@ mod tests {
         Args::parse(tokens.iter().map(|s| s.to_string())).unwrap()
     }
 
-    fn sample_file() -> String {
-        let dir = std::env::temp_dir().join("parapsp-cli-tests");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("sample.txt");
-        std::fs::write(&path, "# demo\n1 2\n2 3\n3 1\n3 4\n4 5\n").unwrap();
-        path.to_string_lossy().into_owned()
+    /// A scratch directory of one test, removed on drop. Tests run in
+    /// parallel, so none may share a file: a test reading a file another
+    /// test is rewriting can see it empty or torn.
+    struct TestDir(std::path::PathBuf);
+
+    impl TestDir {
+        fn new() -> TestDir {
+            static NEXT: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+            let dir = std::env::temp_dir().join(format!(
+                "parapsp-cli-tests-{}-{}",
+                std::process::id(),
+                NEXT.fetch_add(1, std::sync::atomic::Ordering::Relaxed)
+            ));
+            std::fs::create_dir_all(&dir).unwrap();
+            TestDir(dir)
+        }
+
+        /// Writes the five-vertex sample graph into the directory.
+        fn sample(&self) -> String {
+            let path = self.0.join("sample.txt");
+            std::fs::write(&path, "# demo\n1 2\n2 3\n3 1\n3 4\n4 5\n").unwrap();
+            path.to_string_lossy().into_owned()
+        }
+    }
+
+    impl std::ops::Deref for TestDir {
+        type Target = std::path::Path;
+
+        fn deref(&self) -> &std::path::Path {
+            &self.0
+        }
+    }
+
+    impl Drop for TestDir {
+        fn drop(&mut self) {
+            std::fs::remove_dir_all(&self.0).ok();
+        }
     }
 
     #[test]
     fn stats_and_apsp_run_on_sample() {
-        let file = sample_file();
+        let dir = TestDir::new();
+        let file = dir.sample();
         stats(&args(&["stats", &file])).unwrap();
         for algorithm in [
             "par-apsp",
@@ -1240,7 +1272,8 @@ mod tests {
 
     #[test]
     fn analyze_and_path_run_on_sample() {
-        let file = sample_file();
+        let dir = TestDir::new();
+        let file = dir.sample();
         analyze(&args(&["analyze", &file, "--top", "3"])).unwrap();
         path(&args(&["path", &file, "1", "5"])).unwrap();
         // Unknown vertex id.
@@ -1249,14 +1282,16 @@ mod tests {
 
     #[test]
     fn capped_apsp_runs_and_bad_cap_errors() {
-        let file = sample_file();
+        let dir = TestDir::new();
+        let file = dir.sample();
         apsp(&args(&["apsp", &file, "--cap", "1", "--threads", "2"])).unwrap();
         assert!(apsp(&args(&["apsp", &file, "--cap", "many"])).is_err());
     }
 
     #[test]
     fn relax_impl_selection_via_cli() {
-        let file = sample_file();
+        let dir = TestDir::new();
+        let file = dir.sample();
         for relax in ["auto", "avx2", "portable", "scalar"] {
             apsp(&args(&["apsp", &file, "--relax", relax, "--threads", "2"]))
                 .unwrap_or_else(|e| panic!("--relax {relax}: {e}"));
@@ -1292,7 +1327,8 @@ mod tests {
 
     #[test]
     fn schedule_selection_via_cli() {
-        let file = sample_file();
+        let dir = TestDir::new();
+        let file = dir.sample();
         // Every spelling the parser accepts, on every engine that hands its
         // source loop to the parfor pool.
         for schedule in [
@@ -1353,7 +1389,8 @@ mod tests {
 
     #[test]
     fn solver_selection_via_cli() {
-        let file = sample_file();
+        let dir = TestDir::new();
+        let file = dir.sample();
         // Every spelling the parser accepts, on both a parallel and a
         // sequential kernel engine.
         for solver in [
@@ -1419,7 +1456,8 @@ mod tests {
 
     #[test]
     fn store_selection_via_cli() {
-        let file = sample_file();
+        let dir = TestDir::new();
+        let file = dir.sample();
         // Every spelling the parser accepts, on a parallel row engine, a
         // sequential one, and the dist gather.
         for store in ["dense", "delta", "delta:4", "mmap", "mmap:64k"] {
@@ -1473,9 +1511,8 @@ mod tests {
 
     #[test]
     fn apsp_saves_matrix_when_out_is_given() {
-        let dir = std::env::temp_dir().join("parapsp-cli-tests");
-        std::fs::create_dir_all(&dir).unwrap();
-        let file = sample_file();
+        let dir = TestDir::new();
+        let file = dir.sample();
 
         let bin = dir.join("out.bin").to_string_lossy().into_owned();
         apsp(&args(&["apsp", &file, "--out", &bin])).unwrap();
@@ -1490,9 +1527,8 @@ mod tests {
 
     #[test]
     fn checkpoint_and_resume_via_cli() {
-        let dir = std::env::temp_dir().join("parapsp-cli-tests");
-        std::fs::create_dir_all(&dir).unwrap();
-        let file = sample_file();
+        let dir = TestDir::new();
+        let file = dir.sample();
         let ckpt = dir.join("cli.ckpt").to_string_lossy().into_owned();
         apsp(&args(&[
             "apsp",
@@ -1559,9 +1595,8 @@ mod tests {
 
     #[test]
     fn ledger_journals_and_resumes_via_cli() {
-        let dir = std::env::temp_dir().join("parapsp-cli-tests");
-        std::fs::create_dir_all(&dir).unwrap();
-        let file = sample_file();
+        let dir = TestDir::new();
+        let file = dir.sample();
         let ledger = dir.join("cli.ledger").to_string_lossy().into_owned();
         std::fs::remove_file(&ledger).ok();
         // A row engine journals every completed row...
@@ -1613,7 +1648,8 @@ mod tests {
 
     #[test]
     fn ledger_flag_combinations_are_validated() {
-        let file = sample_file();
+        let dir = TestDir::new();
+        let file = dir.sample();
         // --ledger-fsync without --ledger, unknown fsync policy, and
         // mixing the two durability sinks are all usage errors (exit 2).
         for bad in [
@@ -1653,7 +1689,8 @@ mod tests {
 
     #[test]
     fn socket_timeout_flags_parse_and_zero_values_are_usage_errors() {
-        let file = sample_file();
+        let dir = TestDir::new();
+        let file = dir.sample();
         // The flags land on the socket config (the end-to-end run over a
         // real socket is covered by the integration tests, which use the
         // installed binary rather than the test harness as the worker).
@@ -1700,7 +1737,8 @@ mod tests {
 
     #[test]
     fn dist_partitions_via_cli() {
-        let file = sample_file();
+        let dir = TestDir::new();
+        let file = dir.sample();
         for partition in ["cyclic-degree", "block-degree", "cyclic-id"] {
             apsp(&args(&[
                 "apsp",
@@ -1727,7 +1765,8 @@ mod tests {
 
     #[test]
     fn new_engine_knobs_parse_and_reject() {
-        let file = sample_file();
+        let dir = TestDir::new();
+        let file = dir.sample();
         apsp(&args(&[
             "apsp",
             &file,
@@ -1770,7 +1809,8 @@ mod tests {
 
     #[test]
     fn estimate_runs_on_sample_and_rejects_directed() {
-        let file = sample_file();
+        let dir = TestDir::new();
+        let file = dir.sample();
         estimate(&args(&["estimate", &file, "1", "5", "--top", "2"])).unwrap();
         assert!(estimate(&args(&["estimate", &file, "1", "5", "--directed"])).is_err());
         assert!(estimate(&args(&["estimate", &file, "1"])).is_err());
@@ -1778,8 +1818,7 @@ mod tests {
 
     #[test]
     fn generate_roundtrip() {
-        let dir = std::env::temp_dir().join("parapsp-cli-tests");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = TestDir::new();
         let out = dir.join("generated.txt").to_string_lossy().into_owned();
         generate(&args(&[
             "generate", "--model", "ba", "--n", "200", "--m", "3", "--out", &out,
@@ -1792,9 +1831,8 @@ mod tests {
 
     #[test]
     fn expired_deadline_exits_124_with_a_loadable_checkpoint() {
-        let dir = std::env::temp_dir().join("parapsp-cli-tests");
-        std::fs::create_dir_all(&dir).unwrap();
-        let file = sample_file();
+        let dir = TestDir::new();
+        let file = dir.sample();
         let ckpt = dir.join("deadline.ckpt").to_string_lossy().into_owned();
         // A zero deadline expires before the first row; the stop checkpoint
         // must land on the --checkpoint path and load back.
@@ -1818,9 +1856,8 @@ mod tests {
 
     #[test]
     fn deadline_works_for_every_cancellable_algorithm() {
-        let dir = std::env::temp_dir().join("parapsp-cli-tests");
-        std::fs::create_dir_all(&dir).unwrap();
-        let file = sample_file();
+        let dir = TestDir::new();
+        let file = dir.sample();
         for (i, algorithm) in [
             "par-alg1",
             "par-alg2",
@@ -1866,7 +1903,8 @@ mod tests {
 
     #[test]
     fn cancellation_flags_are_validated() {
-        let file = sample_file();
+        let dir = TestDir::new();
+        let file = dir.sample();
         // Non-cancellable algorithms reject explicit flags...
         assert!(apsp(&args(&[
             "apsp",
@@ -1905,7 +1943,8 @@ mod tests {
     fn errors_are_reported() {
         assert!(load(&args(&["stats", "/no/such/file"])).is_err());
         assert!(stats(&args(&["stats"])).is_err());
-        let file = sample_file();
+        let dir = TestDir::new();
+        let file = dir.sample();
         assert!(apsp(&args(&["apsp", &file, "--algorithm", "nope"])).is_err());
         assert!(parse_options(&args(&["stats", "x", "--format", "bad"])).is_err());
         assert!(generate(&args(&["generate"])).is_err());

@@ -102,7 +102,7 @@ pub fn par_adaptive(graph: &CsrGraph, threads: usize, config: AdaptiveConfig) ->
         counters.merge(&c);
     }
     ApspOutput {
-        dist: store.into_matrix(),
+        dist: store.into_matrix(pool.num_threads()),
         timings: PhaseTimings {
             ordering: std::time::Duration::ZERO,
             sssp,

@@ -38,15 +38,16 @@
 //! ```
 
 use std::path::{Path, PathBuf};
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-use parapsp_graph::{degree, CsrGraph};
+use parapsp_graph::{degree, CsrGraph, INF};
 use parapsp_order::OrderingProcedure;
 use parapsp_parfor::{CancelStatus, CancelToken, ParSlice, PerThread, Schedule, ThreadPool};
 
 use crate::kernel::{KernelOptions, Workspace};
 use crate::outcome::RunOutcome;
-use crate::persist::{self, Checkpoint, FsyncPolicy, RowLedger};
+use crate::persist::{self, Checkpoint, FsyncPolicy, PersistError, RowLedger};
 use crate::relax::RelaxImpl;
 use crate::solver::{RowSolver, SolverKind};
 use crate::stats::{ApspOutput, Counters, PhaseTimings};
@@ -559,6 +560,9 @@ pub struct RowsCtx<'a> {
     pub token: Option<&'a CancelToken>,
     /// Per-unit timing sink ([`Runner::run_traced`]), indexed by unit id.
     pub trace: Option<&'a ParSlice<'a, u64>>,
+    /// The run ledger of a ledger run: row owners journal each row they
+    /// publish through [`RowJournal::record`]. `None` on every other run.
+    pub journal: Option<&'a RowJournal>,
 }
 
 /// How a batch of work units ended — [`CancelStatus::Continue`] when every
@@ -623,17 +627,19 @@ pub trait Engine {
     /// early stop.
     fn snapshot(&self) -> Checkpoint;
 
-    /// Visits completed rows for incremental (ledger) persistence: called
-    /// by the [`Runner`] between batches with the unit batch that just
-    /// ran. The engine invokes `visit` with each completed `(source, row)`
-    /// it can attribute to the batch — visiting extra already-completed
-    /// rows is fine (the `Runner` deduplicates), missing a completed one
-    /// only delays its append to a later batch.
+    /// Visits completed rows for incremental (ledger) persistence — the
+    /// fallback for engines that do not journal at publish time: the
+    /// [`Runner`] calls it between batches, with the unit batch that just
+    /// ran, only when [`Engine::run_rows`] journaled nothing through
+    /// [`RowsCtx::journal`]. The engine invokes `visit` with each
+    /// completed `(source, row)` it can attribute to the batch — visiting
+    /// extra already-completed rows is fine (the `Runner` deduplicates),
+    /// missing a completed one only delays its append to a later batch.
     ///
     /// The default builds a full [`Engine::snapshot`] and visits every
-    /// completed row — correct for any engine, O(n²) per batch. Row
-    /// engines override this with an O(batch · row) walk of their
-    /// published rows.
+    /// completed row — correct for any engine, O(n²) per batch.
+    /// [`ApspEngine`] and [`SeqEngine`] override it with an O(batch · row)
+    /// walk of their published rows.
     fn visit_rows(&self, _units: &[u32], visit: &mut dyn FnMut(u32, &[u32])) {
         let snapshot = self.snapshot();
         for s in 0..snapshot.n() as u32 {
@@ -696,6 +702,102 @@ impl CheckpointSink {
     pub fn flush(&self, checkpoint: &Checkpoint) {
         persist::save_checkpoint(checkpoint, &self.path)
             .unwrap_or_else(|err| panic!("writing checkpoint {}: {err}", self.path.display()));
+    }
+}
+
+// ---------------------------------------------------------------------------
+// RowJournal
+// ---------------------------------------------------------------------------
+
+/// A run's [`RowLedger`], shared by the row owners of a batch.
+///
+/// A published row is final, so its owner journals it at once, from the
+/// plain row it still holds: the store's own row on dense, the staged
+/// solve buffer on delta and mmap. No row is decoded again for the
+/// ledger. The owner encodes its record, checksum included, in its own
+/// thread ([`persist::encode_record`]) and holds the lock only for the
+/// write, so records within a batch land in publish order. The `logged`
+/// bitmap makes every row land once, whoever reports it.
+///
+/// The first I/O error is kept, and later records are dropped; the
+/// [`Runner`] raises it on its own thread after the batch.
+#[derive(Debug)]
+pub struct RowJournal {
+    state: Mutex<JournalState>,
+}
+
+#[derive(Debug)]
+struct JournalState {
+    ledger: RowLedger,
+    /// Rows already in the ledger (replayed, backfilled, or journaled).
+    logged: Vec<bool>,
+    /// Records appended through this journal so far.
+    journaled: u64,
+    error: Option<PersistError>,
+}
+
+impl JournalState {
+    fn append(&mut self, source: u32, record: &[u8]) {
+        if self.error.is_some() || self.logged[source as usize] {
+            return;
+        }
+        match self.ledger.append_encoded(record) {
+            Ok(()) => {
+                self.logged[source as usize] = true;
+                self.journaled += 1;
+            }
+            Err(err) => self.error = Some(err),
+        }
+    }
+}
+
+impl RowJournal {
+    fn new(ledger: RowLedger, logged: Vec<bool>) -> Self {
+        RowJournal {
+            state: Mutex::new(JournalState {
+                ledger,
+                logged,
+                journaled: 0,
+                error: None,
+            }),
+        }
+    }
+
+    /// Journals completed row `source` (a no-op when it is already in the
+    /// ledger). `buf` is the caller's scratch for the encoded record:
+    /// encoding happens before the lock is taken.
+    pub fn record(&self, source: u32, row: &[u32], buf: &mut Vec<u8>) {
+        persist::encode_record(source, row, buf);
+        self.lock().append(source, buf);
+    }
+
+    fn lock(&self) -> std::sync::MutexGuard<'_, JournalState> {
+        // A panicking row owner cannot leave a half-written state: the
+        // ledger's writer only ever sees whole records.
+        self.state
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
+
+    /// Records appended through this journal so far.
+    fn journaled(&self) -> u64 {
+        self.lock().journaled
+    }
+
+    /// Takes the first append error, if any.
+    fn take_error(&self) -> Option<PersistError> {
+        self.lock().error.take()
+    }
+
+    fn commit(&self) -> Result<(), PersistError> {
+        self.lock().ledger.commit()
+    }
+
+    fn into_ledger(self) -> RowLedger {
+        self.state
+            .into_inner()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+            .ledger
     }
 }
 
@@ -832,12 +934,12 @@ impl Runner {
         // `prepare`, so rows replayed from the torn-tail recovery join the
         // resume state, and rows only the `--resume` artifact knows about
         // are backfilled into the ledger.
-        let mut ledger_state: Option<(RowLedger, Vec<bool>)> = None;
+        let mut journal: Option<RowJournal> = None;
         let resume = match &self.config.checkpoint {
             Some(policy)
                 if policy.format == CheckpointFormat::Ledger && engine.row_checkpoints() =>
             {
-                let fail = |err: persist::PersistError| -> ! {
+                let fail = |err: PersistError| -> ! {
                     panic!("run ledger {}: {err}", policy.path.display())
                 };
                 let (mut ledger, replayed) =
@@ -861,8 +963,7 @@ impl Runner {
                     }
                     None => replayed,
                 };
-                let logged = merged.completed().to_vec();
-                ledger_state = Some((ledger, logged));
+                journal = Some(RowJournal::new(ledger, merged.completed().to_vec()));
                 Some(merged)
             }
             _ => resume,
@@ -873,26 +974,30 @@ impl Runner {
             config: &self.config,
             token,
             trace,
+            journal: journal.as_ref(),
         };
         let t_sssp = Instant::now();
-        let status = match (&self.config.checkpoint, &mut ledger_state) {
-            (Some(policy), Some((ledger, logged))) => {
-                // Between batches no row owner is active, so every row the
-                // engine reports completed is final — append it once.
+        let status = match (&self.config.checkpoint, &journal) {
+            (Some(policy), Some(journal)) => {
+                let fail = |err: PersistError| -> ! {
+                    panic!("run ledger {}: {err}", policy.path.display())
+                };
+                // Row owners journal as they publish; an engine that
+                // journaled nothing this batch is walked instead. Between
+                // batches no row owner is active, so every row it reports
+                // completed is final.
                 let mut status = CancelStatus::Continue;
+                let mut buf = Vec::new();
                 for chunk in plan.units.chunks(policy.every) {
+                    let journaled = journal.journaled();
                     status = engine.run_rows(graph, chunk, &ctx);
-                    engine.visit_rows(chunk, &mut |s, row| {
-                        if !logged[s as usize] {
-                            ledger.append(s, row).unwrap_or_else(|err| {
-                                panic!("run ledger {}: {err}", policy.path.display())
-                            });
-                            logged[s as usize] = true;
-                        }
-                    });
-                    ledger.commit().unwrap_or_else(|err| {
-                        panic!("run ledger {}: {err}", policy.path.display())
-                    });
+                    if journal.journaled() == journaled {
+                        engine.visit_rows(chunk, &mut |s, row| journal.record(s, row, &mut buf));
+                    }
+                    if let Some(err) = journal.take_error() {
+                        fail(err);
+                    }
+                    journal.commit().unwrap_or_else(|err| fail(err));
                     if status.is_stop() {
                         break;
                     }
@@ -915,8 +1020,9 @@ impl Runner {
             }
             _ => engine.run_rows(graph, &plan.units, &ctx),
         };
-        if let Some((ledger, _)) = ledger_state {
-            ledger
+        if let Some(journal) = journal {
+            journal
+                .into_ledger()
                 .finish()
                 .unwrap_or_else(|err| panic!("run ledger: {err}"));
         }
@@ -946,6 +1052,33 @@ impl Runner {
             label,
         };
         RunOutcome::Complete(engine.finish(graph, summary))
+    }
+}
+
+/// Journals row `s`, just solved into `store` by the owner of `ws`, from
+/// the plain row the owner still holds: the store's own row on lending
+/// backends, the staged `ws.row_buf` (which [`Store::publish_from`] leaves
+/// intact) on delta and mmap.
+fn journal_solved_row(journal: Option<&RowJournal>, store: &Store, s: u32, ws: &mut Workspace) {
+    if let Some(journal) = journal {
+        let row = store.published_row(s).unwrap_or(&ws.row_buf);
+        journal.record(s, row, &mut ws.record_buf);
+    }
+}
+
+/// The row engines' [`Engine::visit_rows`] fallback: visits the published
+/// rows among `sources` through [`Store::read_row_into`], which bypasses
+/// the hot-row cache, so a fallback walk never evicts the kernel's rows.
+fn visit_published(
+    store: &Store,
+    sources: impl Iterator<Item = u32>,
+    visit: &mut dyn FnMut(u32, &[u32]),
+) {
+    let mut buf = vec![INF; store.n()];
+    for s in sources {
+        if store.read_row_into(s, &mut buf) {
+            visit(s, &buf);
+        }
     }
 }
 
@@ -1024,6 +1157,7 @@ impl Engine for ApspEngine {
         let solver = self.solver.as_ref().expect("prepare() not called");
         let kernel = ctx.config.kernel();
         let trace = ctx.trace;
+        let journal = ctx.journal;
         let body = |tid: usize, k: usize| {
             let s = units[k];
             // SAFETY: each pool thread touches only its own scratch slot.
@@ -1033,6 +1167,7 @@ impl Engine for ApspEngine {
             // exactly this iteration — satisfying the unique-row-owner
             // contract of the solvers (and of `Store::try_row_mut`).
             solver.solve_row(graph, s, store, ws, kernel, counters, None);
+            journal_solved_row(journal, store, s, ws);
             let elapsed = t0.elapsed();
             *busy += elapsed;
             if let Some(view) = trace {
@@ -1065,17 +1200,20 @@ impl Engine for ApspEngine {
 
     fn into_snapshot(self) -> Checkpoint {
         // Moves the store into the checkpoint — zero-copy for the dense
-        // backend — instead of the default's full snapshot clone.
-        let (dist, completed) = self.store.expect("prepare() not called").into_parts();
+        // backend, a decode on every pool thread otherwise — instead of
+        // the default's full snapshot clone.
+        let threads = self.locals.as_ref().map_or(1, PerThread::len);
+        let (dist, completed) = self
+            .store
+            .expect("prepare() not called")
+            .into_parts(threads);
         Checkpoint::new(dist, completed)
     }
 
     fn visit_rows(&self, units: &[u32], visit: &mut dyn FnMut(u32, &[u32])) {
         // Units are source vertices; a published row is final.
         let store = self.store.as_ref().expect("prepare() not called");
-        for &s in units {
-            store.with_row(s, |row| visit(s, row));
-        }
+        visit_published(store, units.iter().copied(), visit);
     }
 
     fn finish(self, _graph: &CsrGraph, summary: RunSummary) -> ApspOutput {
@@ -1091,7 +1229,7 @@ impl Engine for ApspEngine {
         // any per-thread counter; fold it in before the store is consumed.
         counters.pinned_bytes_peak = counters.pinned_bytes_peak.max(store.pinned_bytes_peak());
         ApspOutput {
-            dist: store.into_matrix(),
+            dist: store.into_matrix(summary.threads),
             timings: summary.timings,
             counters,
             threads: summary.threads,
@@ -1269,6 +1407,7 @@ impl Engine for SeqEngine {
             };
             let t0 = Instant::now();
             solver.solve_row(graph, s, store, ws, kernel, counters, feedback);
+            journal_solved_row(ctx.journal, store, s, ws);
             let elapsed = t0.elapsed();
             *busy += elapsed;
             if let Some(view) = ctx.trace {
@@ -1290,7 +1429,7 @@ impl Engine for SeqEngine {
     }
 
     fn into_snapshot(self) -> Checkpoint {
-        let (dist, completed) = self.store.expect("prepare() not called").into_parts();
+        let (dist, completed) = self.store.expect("prepare() not called").into_parts(1);
         Checkpoint::new(dist, completed)
     }
 
@@ -1298,21 +1437,15 @@ impl Engine for SeqEngine {
         let store = self.store.as_ref().expect("prepare() not called");
         match self.mode {
             // Ordered units are source vertices.
-            SeqMode::Ordered => {
-                for &s in units {
-                    store.with_row(s, |row| visit(s, row));
-                }
-            }
+            SeqMode::Ordered => visit_published(store, units.iter().copied(), visit),
             // Adaptive units are opaque step counters; the sources picked
             // this batch are whatever is newly marked done. Scanning all
             // of `done` is O(n) per batch and the `Runner` deduplicates.
-            SeqMode::Adaptive { .. } => {
-                for s in 0..store.n() as u32 {
-                    if self.done[s as usize] {
-                        store.with_row(s, |row| visit(s, row));
-                    }
-                }
-            }
+            SeqMode::Adaptive { .. } => visit_published(
+                store,
+                (0..store.n() as u32).filter(|&s| self.done[s as usize]),
+                visit,
+            ),
         }
     }
 
@@ -1322,7 +1455,7 @@ impl Engine for SeqEngine {
         let mut counters = self.counters;
         counters.pinned_bytes_peak = counters.pinned_bytes_peak.max(store.pinned_bytes_peak());
         ApspOutput {
-            dist: store.into_matrix(),
+            dist: store.into_matrix(summary.threads),
             timings: summary.timings,
             counters,
             threads: 1,
@@ -1596,10 +1729,14 @@ mod tests {
         assert_eq!(stopped.checkpoint().unwrap().completed_count(), 0);
     }
 
-    /// Tentpole: the run ledger is an O(row) drop-in for the O(n²)
-    /// checkpoint rewrite — a cancelled ledger run resumes from its own
-    /// ledger (no separate `--resume` artifact needed) and lands on the
-    /// bit-identical final matrix, having recomputed only the missing rows.
+    /// The run ledger is an O(row) drop-in for the O(n²) checkpoint
+    /// rewrite — a cancelled ledger run resumes from its own ledger (no
+    /// separate `--resume` artifact needed) and lands on the bit-identical
+    /// final matrix, having recomputed only the missing rows. Swept over
+    /// every store backend (mmap with a budget of a few rows) × {1, 2, 4}
+    /// threads, with the fsync policies rotated through the cells: row
+    /// owners journal at publish time, so the stopped run's ledger holds
+    /// exactly the rows its stop checkpoint holds.
     #[test]
     fn ledger_runs_resume_from_their_own_file_bit_identically() {
         const BUDGET: u64 = 20;
@@ -1609,41 +1746,114 @@ mod tests {
         let g = barabasi_albert(90, 3, WeightSpec::Uniform { lo: 1, hi: 9 }, 5).unwrap();
         let reference = seq_basic(&g);
 
-        for (name, fsync) in [
-            ("always", FsyncPolicy::Always),
-            ("commit", FsyncPolicy::Commit),
-            ("never", FsyncPolicy::Never),
-        ] {
-            let path = dir.join(format!("run-{name}.ledger"));
-            std::fs::remove_file(&path).ok();
-            let config = RunConfig::par_apsp(2)
-                .with_ordering(OrderingProcedure::Identity)
-                .with_threads(1)
-                .with_ledger(&path, EVERY)
-                .with_fsync(fsync);
-            let token = CancelToken::with_poll_budget(BUDGET);
-            let outcome = Runner::new(config.clone()).run_with_token(ApspEngine::new(), &g, &token);
-            assert!(!outcome.is_complete());
-            // The interrupted ledger replays to exactly the budgeted rows.
-            let cp = persist::load_checkpoint(&path).unwrap();
-            assert_eq!(cp.completed_count() as u64, BUDGET, "{name}");
+        let stores = [
+            StoreSpec::dense(),
+            StoreSpec::delta(4),
+            StoreSpec::parse("mmap:4k").unwrap(),
+        ];
+        let mut cell = 0;
+        for store in &stores {
+            for threads in [1, 2, 4] {
+                let fsync = FsyncPolicy::ALL[cell % FsyncPolicy::ALL.len()];
+                cell += 1;
+                let name = format!("{}-t{threads}-{}", store.label(), fsync.name());
+                let path = dir.join(format!("run-{name}.ledger"));
+                std::fs::remove_file(&path).ok();
+                let config = RunConfig::par_apsp(threads)
+                    .with_ordering(OrderingProcedure::Identity)
+                    .with_store(store.clone())
+                    .with_ledger(&path, EVERY)
+                    .with_fsync(fsync);
+                let token = CancelToken::with_poll_budget(BUDGET);
+                let outcome =
+                    Runner::new(config.clone()).run_with_token(ApspEngine::new(), &g, &token);
+                let stopped = outcome.into_checkpoint().expect("20 < 90 sources");
+                // The interrupted ledger replays to exactly the rows the
+                // stopped run published, every one of them exact.
+                let cp = persist::load_checkpoint(&path).unwrap();
+                assert_eq!(cp.completed(), stopped.completed(), "{name}");
+                if threads == 1 {
+                    assert_eq!(cp.completed_count() as u64, BUDGET, "{name}");
+                }
+                for s in (0..90u32).filter(|&s| cp.completed()[s as usize]) {
+                    assert_eq!(cp.matrix().row(s), reference.dist.row(s), "{name} row {s}");
+                }
 
-            // Re-running against the same ledger resumes implicitly.
-            let resumed = Runner::new(config).run(ApspEngine::new(), &g);
-            assert_eq!(
-                reference.dist.first_difference(&resumed.dist),
-                None,
-                "{name}"
-            );
-            let cp = persist::load_checkpoint(&path).unwrap();
-            assert!(cp.is_complete(), "{name}");
+                // Re-running against the same ledger resumes implicitly.
+                let resumed = Runner::new(config).run(ApspEngine::new(), &g);
+                assert_eq!(
+                    reference.dist.first_difference(&resumed.dist),
+                    None,
+                    "{name}"
+                );
+                let cp = persist::load_checkpoint(&path).unwrap();
+                assert!(cp.is_complete(), "{name}");
+                assert_eq!(
+                    cp.matrix().first_difference(&reference.dist),
+                    None,
+                    "{name}"
+                );
+                std::fs::remove_file(&path).ok();
+            }
+        }
+    }
+
+    /// Row owners append their records in publish order, which differs
+    /// from run to run under several threads. Every record is
+    /// byte-for-byte the one [`persist::encode_record`] frames for its
+    /// row, and the ledger replays complete and exact whatever order the
+    /// records were appended in.
+    #[test]
+    fn a_two_thread_ledger_replays_exactly_in_any_record_order() {
+        let dir = std::env::temp_dir().join("parapsp-engine-tests");
+        std::fs::create_dir_all(&dir).unwrap();
+        let g = barabasi_albert(80, 3, WeightSpec::Uniform { lo: 1, hi: 9 }, 21).unwrap();
+        let n = g.vertex_count();
+        let reference = seq_basic(&g);
+        let path = dir.join("two-threads.ledger");
+        std::fs::remove_file(&path).ok();
+        let config = RunConfig::par_apsp(2)
+            .with_store(StoreSpec::delta(4))
+            .with_ledger(&path, 8)
+            .with_fsync(FsyncPolicy::Never);
+        let out = Runner::new(config).run(ApspEngine::new(), &g);
+        assert_eq!(reference.dist.first_difference(&out.dist), None);
+
+        let bytes = std::fs::read(&path).unwrap();
+        let record_len = 8 + 4 * n + 4;
+        let header_len = bytes.len() - n * record_len;
+        let (header, body) = bytes.split_at(header_len);
+        let mut records: Vec<&[u8]> = body.chunks_exact(record_len).collect();
+        let mut expected = Vec::new();
+        for record in &records {
+            let source = u32::from_le_bytes(record[..4].try_into().unwrap());
+            persist::encode_record(source, reference.dist.row(source), &mut expected);
+            assert_eq!(*record, expected.as_slice(), "record of row {source}");
+        }
+
+        // Replay the same records in reverse and in a seeded shuffle.
+        let reversed: Vec<&[u8]> = records.iter().rev().copied().collect();
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        for i in (1..records.len()).rev() {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            records.swap(i, (state % (i as u64 + 1)) as usize);
+        }
+        for (order, records) in [("reversed", reversed), ("shuffled", records)] {
+            let mut file = header.to_vec();
+            for record in records {
+                file.extend_from_slice(record);
+            }
+            let cp = persist::read_checkpoint(file.as_slice()).unwrap();
+            assert!(cp.is_complete(), "{order}");
             assert_eq!(
                 cp.matrix().first_difference(&reference.dist),
                 None,
-                "{name}"
+                "{order}"
             );
-            std::fs::remove_file(&path).ok();
         }
+        std::fs::remove_file(&path).ok();
     }
 
     /// A `--resume` checkpoint and a recovered ledger merge: rows known

@@ -91,6 +91,11 @@ pub(crate) struct Workspace {
     /// into this buffer and hands it over via [`Store::publish_from`].
     /// Allocated once per thread, like the rest of the workspace.
     pub(crate) row_buf: Vec<u32>,
+    /// The owner's encoded run-ledger record ([`RowJournal::record`]);
+    /// stays empty on runs without a ledger.
+    ///
+    /// [`RowJournal::record`]: crate::engine::RowJournal::record
+    pub(crate) record_buf: Vec<u8>,
 }
 
 impl Workspace {
@@ -103,6 +108,7 @@ impl Workspace {
             in_removed: BitSet::new(n),
             scratch: Vec::new(),
             row_buf: vec![INF; n],
+            record_buf: Vec::new(),
         }
     }
 }
@@ -337,7 +343,7 @@ mod tests {
             modified_dijkstra(graph, s, &store, &mut ws, options, &mut counters, None);
         }
         assert_eq!(counters.sources, n as u64);
-        store.into_matrix()
+        store.into_matrix(2)
     }
 
     fn run_all_sources(graph: &CsrGraph, options: KernelOptions) -> crate::DistanceMatrix {
@@ -561,7 +567,7 @@ mod tests {
                 "{}: decode-ahead hits are a subset of hits",
                 spec.label()
             );
-            let got = store.into_matrix();
+            let got = store.into_matrix(2);
             assert_eq!(expect.first_difference(&got), None, "{}", spec.label());
         }
     }
@@ -586,7 +592,7 @@ mod tests {
             for s in 0..90u32 {
                 modified_dijkstra(&g, s, &store, &mut ws, options, &mut counters, None);
             }
-            (store.into_matrix(), counters)
+            (store.into_matrix(2), counters)
         };
         for max_distance in [None, Some(7)] {
             let mut reference: Option<(crate::DistanceMatrix, Counters)> = None;

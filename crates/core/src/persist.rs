@@ -545,9 +545,33 @@ fn replay_ledger_body<R: Read>(
         }
         dist.copy_row_from(source, &payload);
         completed[source as usize] = true;
-        valid += 8 + 4 * n as u64 + 4;
+        valid += record_len(n) as u64;
     }
     Ok((Checkpoint { dist, completed }, run_id, epoch, valid))
+}
+
+/// Byte length of one framed ledger record of an `n`-vertex run: source
+/// id, row length, `n` cells, checksum.
+fn record_len(n: usize) -> usize {
+    8 + 4 * n + 4
+}
+
+/// Frames completed row `source` as one version-3 ledger record into
+/// `out` (replacing its contents): source id, row length, the cells as
+/// little-endian words, then their [`row_checksum`]. Pure — no I/O — so
+/// row owners can encode in parallel and hand the bytes to
+/// [`RowLedger::append_encoded`].
+pub fn encode_record(source: u32, row: &[u32], out: &mut Vec<u8>) {
+    out.clear();
+    out.resize(record_len(row.len()), 0);
+    let (header, rest) = out.split_at_mut(8);
+    header[..4].copy_from_slice(&source.to_le_bytes());
+    header[4..].copy_from_slice(&(row.len() as u32).to_le_bytes());
+    let (payload, sum) = rest.split_at_mut(4 * row.len());
+    for (chunk, &cell) in payload.chunks_exact_mut(4).zip(row) {
+        chunk.copy_from_slice(&cell.to_le_bytes());
+    }
+    sum.copy_from_slice(&row_checksum(source, row).to_le_bytes());
 }
 
 /// A crash-safe append-only run ledger: one framed record per completed
@@ -716,17 +740,28 @@ impl RowLedger {
     /// final and full-length by construction, so a short row is a caller
     /// bug, not a runtime condition.
     pub fn append(&mut self, source: u32, row: &[u32]) -> Result<(), PersistError> {
-        assert_eq!(row.len(), self.n, "ledger rows are full n-length rows");
-        self.buf.clear();
-        self.buf.extend_from_slice(&source.to_le_bytes());
-        self.buf
-            .extend_from_slice(&(row.len() as u32).to_le_bytes());
-        for &cell in row {
-            self.buf.extend_from_slice(&cell.to_le_bytes());
-        }
-        self.buf
-            .extend_from_slice(&row_checksum(source, row).to_le_bytes());
-        self.writer.write_all(&self.buf)?;
+        let mut buf = std::mem::take(&mut self.buf);
+        encode_record(source, row, &mut buf);
+        let appended = self.append_encoded(&buf);
+        self.buf = buf;
+        appended
+    }
+
+    /// Appends one record already framed by [`encode_record`] — the
+    /// split that lets a row's owner encode (and checksum) its record in
+    /// its own thread and hold a shared ledger only for the write.
+    /// Durability follows [`RowLedger::append`].
+    ///
+    /// # Panics
+    ///
+    /// Panics when `record` is not one framed record of this ledger's `n`.
+    pub fn append_encoded(&mut self, record: &[u8]) -> Result<(), PersistError> {
+        assert_eq!(
+            record.len(),
+            record_len(self.n),
+            "ledger rows are full n-length rows"
+        );
+        self.writer.write_all(record)?;
         self.records += 1;
         self.dirty = true;
         if self.policy == FsyncPolicy::Always {
@@ -1076,6 +1111,44 @@ mod tests {
         let cp = load_checkpoint(&path).unwrap();
         assert_eq!(cp, partial_checkpoint());
         std::fs::remove_file(path).ok();
+    }
+
+    #[test]
+    fn encoded_records_keep_the_v3_layout_and_match_append() {
+        let mut record = Vec::new();
+        encode_record(2, &[7, 0, INF], &mut record);
+        let mut golden = Vec::new();
+        for word in [2, 3, 7, 0, INF, row_checksum(2, &[7, 0, INF])] {
+            golden.extend_from_slice(&u32::to_le_bytes(word));
+        }
+        assert_eq!(record, golden);
+
+        // `append` and `append_encoded` write the same bytes.
+        let dir = ledger_dir("encoded");
+        let (by_row, by_record) = (dir.join("row.ledger"), dir.join("record.ledger"));
+        let mut ledger = RowLedger::create(&by_row, 3, FsyncPolicy::Never).unwrap();
+        ledger.append(2, &[7, 0, INF]).unwrap();
+        ledger.finish().unwrap();
+        let mut ledger = RowLedger::create(&by_record, 3, FsyncPolicy::Never).unwrap();
+        ledger.append_encoded(&record).unwrap();
+        assert_eq!(ledger.records(), 1);
+        ledger.finish().unwrap();
+        for path in [&by_row, &by_record] {
+            let bytes = std::fs::read(path).unwrap();
+            assert_eq!(&bytes[LEDGER_HEADER_LEN as usize..], golden.as_slice());
+        }
+        std::fs::remove_file(by_row).ok();
+        std::fs::remove_file(by_record).ok();
+    }
+
+    #[test]
+    #[should_panic(expected = "full n-length rows")]
+    fn append_encoded_rejects_a_record_of_another_shape() {
+        let path = ledger_dir("shape").join("run.ledger");
+        let mut ledger = RowLedger::create(&path, 3, FsyncPolicy::Never).unwrap();
+        let mut record = Vec::new();
+        encode_record(0, &[0, 1], &mut record);
+        let _ = ledger.append_encoded(&record);
     }
 
     #[test]

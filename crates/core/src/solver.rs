@@ -879,7 +879,7 @@ mod tests {
             solver.solve_row(graph, s, &store, &mut ws, options, &mut counters, None);
         }
         assert_eq!(counters.sources, n as u64);
-        store.into_matrix()
+        store.into_matrix(2)
     }
 
     fn sweep(graph: &CsrGraph, options: KernelOptions) -> crate::DistanceMatrix {

@@ -133,9 +133,12 @@ const MIN_CACHE_ROWS: u64 = 2;
 /// Bounded queue depth of decode-ahead hints; hints past a full queue are
 /// dropped (a dropped hint is just a future cache miss, never an error).
 const DECODE_AHEAD_QUEUE: usize = 64;
-/// Stack size of the decode-ahead worker thread — deliberately tiny so
-/// the extra thread stays invisible under `ulimit -v` smoke runs.
+/// Stack size of the decode-ahead worker and the finish decoders —
+/// deliberately tiny so the extra threads stay invisible under
+/// `ulimit -v` smoke runs.
 const DECODE_AHEAD_STACK: usize = 128 << 10;
+/// Rows a finish decoder claims at a time ([`Store::into_parts`]).
+const DECODE_CHUNK_ROWS: usize = 16;
 
 /// A parsed `--store` specification: backend plus its tuning parameter.
 ///
@@ -611,38 +614,75 @@ impl Store {
     pub fn snapshot(&self) -> (DistanceMatrix, Vec<bool>) {
         match &self.inner {
             Inner::Dense(state) => state.snapshot(),
-            _ => {
-                let n = self.n();
-                let mut dist = DistanceMatrix::new_infinite(n);
-                let mut completed = vec![false; n];
-                for s in 0..n as u32 {
-                    if self.read_row_into(s, dist.row_mut(s)) {
-                        completed[s as usize] = true;
-                    }
-                }
-                (dist, completed)
-            }
+            _ => self.decode_all(1),
         }
     }
 
     /// Consumes the store, yielding the final dense matrix (zero-copy for
-    /// the dense backend; a decode pass otherwise). Unpublished rows come
-    /// out infinite.
-    pub fn into_matrix(self) -> DistanceMatrix {
-        match self.inner {
-            Inner::Dense(state) => state.into_matrix(),
-            _ => self.snapshot().0,
-        }
+    /// the dense backend; otherwise a decode pass over `threads` threads,
+    /// see [`Store::into_parts`]). Unpublished rows come out infinite.
+    pub fn into_matrix(self, threads: usize) -> DistanceMatrix {
+        self.into_parts(threads).0
     }
 
     /// Consumes the store, yielding the matrix plus completion flags —
     /// the zero-copy teardown behind `Engine::into_snapshot` (no O(n²)
-    /// clone on the dense backend).
-    pub fn into_parts(self) -> (DistanceMatrix, Vec<bool>) {
+    /// clone on the dense backend). Delta and mmap rows are decoded by
+    /// `threads` scoped threads into a zeroed allocation, so each page of
+    /// the matrix is first touched by the thread that decodes into it.
+    pub fn into_parts(self, threads: usize) -> (DistanceMatrix, Vec<bool>) {
         match self.inner {
             Inner::Dense(state) => state.into_parts(),
-            _ => self.snapshot(),
+            _ => self.decode_all(threads),
         }
+    }
+
+    /// Decodes every row of a non-dense store into a fresh dense matrix
+    /// on `threads` scoped threads (the engines' `finish` has no pool),
+    /// handing out [`DECODE_CHUNK_ROWS`]-row chunks on demand. Reads
+    /// bypass the hot-row cache; unpublished rows come out infinite.
+    fn decode_all(&self, threads: usize) -> (DistanceMatrix, Vec<bool>) {
+        let n = self.n();
+        // `vec![0; len]` is a zeroed (calloc) allocation: its pages are
+        // not touched until a decoding thread writes them.
+        let mut data = vec![0u32; n.checked_mul(n).expect("matrix size overflow")];
+        let mut completed = vec![false; n];
+        if n > 0 {
+            let chunks = Mutex::new(
+                data.chunks_mut(DECODE_CHUNK_ROWS * n)
+                    .zip(completed.chunks_mut(DECODE_CHUNK_ROWS))
+                    .enumerate(),
+            );
+            let decode = || loop {
+                let Some((chunk, (rows, done))) = chunks.lock().expect("decode chunks").next()
+                else {
+                    break;
+                };
+                let first = chunk * DECODE_CHUNK_ROWS;
+                for (k, (row, done)) in rows.chunks_exact_mut(n).zip(done).enumerate() {
+                    *done = self.read_row_into((first + k) as u32, row);
+                    if !*done {
+                        row.fill(INF);
+                    }
+                }
+            };
+            let threads = threads.clamp(1, n.div_ceil(DECODE_CHUNK_ROWS));
+            std::thread::scope(|scope| {
+                for _ in 1..threads {
+                    // A helper that fails to spawn (thread limit) only
+                    // leaves more chunks for the others.
+                    let _ = std::thread::Builder::new()
+                        .name("parapsp-finish-decode".into())
+                        .stack_size(DECODE_AHEAD_STACK)
+                        .spawn_scoped(scope, decode);
+                }
+                decode();
+            });
+        }
+        (
+            DistanceMatrix::from_raw(n, data.into_boxed_slice()),
+            completed,
+        )
     }
 
     /// Bytes of published-row payload this store holds: resident matrix
@@ -1687,7 +1727,7 @@ mod tests {
                 assert_eq!(&buf, row, "{} read_row_into({s})", spec.label());
             }
             // Bulk teardown.
-            let matrix = store.into_matrix();
+            let matrix = store.into_matrix(3);
             for (s, row) in rows.iter().enumerate() {
                 assert_eq!(matrix.row(s as u32), &row[..], "{}", spec.label());
             }
@@ -1712,8 +1752,8 @@ mod tests {
         }
         assert_eq!(
             in_place
-                .into_matrix()
-                .first_difference(&staged.into_matrix()),
+                .into_matrix(2)
+                .first_difference(&staged.into_matrix(1)),
             None
         );
     }

@@ -155,8 +155,12 @@ impl SubsetState {
 pub struct SubsetEngine {
     sources: Vec<u32>,
     state: Option<SubsetState>,
-    locals: Option<PerThread<(VecDeque<u32>, BitSet)>>,
+    locals: Option<PerThread<SubsetScratch>>,
 }
+
+/// Per-thread scratch of a [`SubsetEngine`]: the queue, its membership
+/// bitmap, and the encoded run-ledger record.
+type SubsetScratch = (VecDeque<u32>, BitSet, Vec<u8>);
 
 impl SubsetEngine {
     /// An engine computing the rows of `sources` (duplicates rejected at
@@ -230,7 +234,7 @@ impl Engine for SubsetEngine {
         };
         self.state = Some(state);
         self.locals = Some(PerThread::from_fn(pool.num_threads(), |_| {
-            (VecDeque::new(), BitSet::new(n))
+            (VecDeque::new(), BitSet::new(n), Vec::new())
         }));
         Plan { units, ordering }
     }
@@ -243,11 +247,12 @@ impl Engine for SubsetEngine {
         let cap = kernel.max_distance.unwrap_or(u32::MAX);
         let relax_impl = kernel.relax.resolve();
         let trace = ctx.trace;
+        let journal = ctx.journal;
         let body = |tid: usize, k: usize| {
             let slot = units[k];
             let s = sources[slot as usize];
             // SAFETY: one scratch slot per pool thread.
-            let (queue, in_queue) = unsafe { locals.get_mut(tid) };
+            let (queue, in_queue, record_buf) = unsafe { locals.get_mut(tid) };
             let t0 = Instant::now();
             // SAFETY: `units` is drawn from a permutation of slots, so this
             // task is the unique owner of `slot`.
@@ -276,6 +281,12 @@ impl Engine for SubsetEngine {
                 }
             }
             state.publish(slot);
+            if let Some(journal) = journal {
+                let row = state
+                    .published_row_of_vertex(s)
+                    .expect("row published just above");
+                journal.record(s, row, record_buf);
+            }
             if let Some(view) = trace {
                 // SAFETY: as above, the trace slot of `s` belongs
                 // exclusively to this iteration.

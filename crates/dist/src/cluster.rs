@@ -960,7 +960,7 @@ fn run_cluster_socket(
             // Cancelled while waiting for workers: whatever the ledger or
             // resume checkpoint already held is still the run's state.
             let store = std::mem::replace(&mut driver.store, Store::new(0, &StoreSpec::dense()));
-            let checkpoint = Checkpoint::new(store.into_matrix(), driver.got.clone());
+            let checkpoint = Checkpoint::new(store.into_matrix(1), driver.got.clone());
             driver.finish_ledger();
             return RunOutcome::from_stop(status, checkpoint);
         }
@@ -1026,7 +1026,7 @@ fn finish_output(
     let output = DistApspOutput {
         // Collapses the gather store into the dense output matrix
         // (zero-copy for the default dense backend).
-        dist: driver.store.into_matrix(),
+        dist: driver.store.into_matrix(1),
         node_stats,
         gather_bytes: driver.gather_bytes,
         gather_rejected: driver.gather_rejected,
