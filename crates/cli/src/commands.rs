@@ -6,13 +6,13 @@ use parapsp_analysis::{
     average_clustering, betweenness_centrality, closeness_centrality, degree_assortativity,
     harmonic_centrality, top_k, Normalization,
 };
-use parapsp_core::adaptive::{par_adaptive, AdaptiveConfig};
 use parapsp_core::baselines;
 use parapsp_core::engine::{
-    ApspEngine, BlockedFwEngine, Engine, EngineKind, RunConfig, Runner, SeqEngine, ValueEnum,
+    ApspEngine, BlockedFwEngine, Engine, EngineKind, RunConfig, Runner, ValueEnum,
 };
 use parapsp_core::paths::par_apsp_with_paths;
-use parapsp_core::{autotune, ApspOutput, DistanceMatrix, RelaxImpl, RunOutcome, SolverKind};
+use parapsp_core::persist::{self, Checkpoint};
+use parapsp_core::{autotune, DistanceMatrix, RelaxImpl, RunOutcome, SolverKind};
 use parapsp_dist::{
     run_worker, BindSpec, ClusterConfig, DistEngine, FaultPlan, LedgerSpec, SocketConfig,
     SourcePartition, TransportSpec, WorkerMode, WorkerOptions, WorkerOutcome,
@@ -99,11 +99,11 @@ apsp options:
   --partition <name>         dist source partition: cyclic-degree |
                              block-degree | cyclic-id
   --credit-weight <W>        intermediate-credit weight for seq-adaptive
-                             (default: 10)
+                             (default: 10) and par-adaptive (default: 16)
   --block <B>                tile side for blocked-fw (default: 64)
   --cap <D>                  bounded horizon: leave pairs beyond distance D
                              at infinity (every algorithm except
-                             par-adaptive and the baselines)
+                             floyd-warshall and dijkstra)
   --relax <impl>             row-relaxation kernel: auto | avx2 | portable |
                              scalar (par-* and seq-* kernel algorithms;
                              default auto — all variants are bit-identical)
@@ -116,7 +116,8 @@ apsp options:
                              algorithms as --relax; distances are
                              bit-identical under every solver
   --schedule <s>             source-sweep loop schedule for par-apsp |
-                             par-alg1 | par-alg2: block | static-cyclic |
+                             par-alg1 | par-alg2 | par-adaptive (each
+                             par-adaptive wave): block | static-cyclic |
                              dynamic-cyclic | dynamic:<chunk> |
                              guided:<min-chunk> | work-stealing[:<chunk>]
                              (default: each algorithm's paper schedule;
@@ -133,8 +134,7 @@ apsp options:
   --out <file>               save the distance matrix (.tsv/.txt = text,
                              anything else = compact binary)
   --checkpoint <file>        write completed rows to <file> periodically
-                             (par-apsp | par-alg1 | par-alg2 | seq-basic |
-                             seq-optimized | seq-adaptive)
+                             (the par-* and seq-* row engines)
   --checkpoint-every <K>     rows between checkpoint writes (default: 64)
   --resume <file>            load a checkpoint OR a run ledger and compute
                              only the missing rows (row engines and dist)
@@ -150,7 +150,7 @@ apsp options:
   --on-interrupt <mode>      checkpoint (default): SIGINT/SIGTERM stop at
                              a row boundary, write a checkpoint, exit 130;
                              abort: die immediately (OS default)
-                             (cancellable: everything except par-adaptive,
+                             (cancellable: everything except
                              floyd-warshall, dijkstra; the stop checkpoint
                              goes to --checkpoint's path or
                              <file>.interrupt.ckpt)
@@ -528,7 +528,7 @@ fn cancellation_setup(
 /// clobber it.
 fn write_stop_checkpoint(
     args: &Args,
-    checkpoint: &parapsp_core::persist::Checkpoint,
+    checkpoint: &Checkpoint,
     why: &str,
     code: i32,
 ) -> Result<RunStatus, CliError> {
@@ -545,7 +545,7 @@ fn write_stop_checkpoint(
         Some(p) => p.to_string(),
         None => format!("{}.interrupt.ckpt", args.positional(0).unwrap_or("apsp")),
     };
-    parapsp_core::persist::save_checkpoint(checkpoint, &path)
+    persist::save_checkpoint(checkpoint, &path)
         .map_err(|e| CliError::failure(format!("writing stop checkpoint {path}: {e}")))?;
     eprintln!(
         "{why}: {} of {} rows complete; checkpoint written to {path} \
@@ -556,43 +556,50 @@ fn write_stop_checkpoint(
     Ok(RunStatus::Stopped { code })
 }
 
-/// Loads `--resume`'s checkpoint (validated against the graph) and drives
-/// `engine` through the [`Runner`], with or without a cancel token. All
-/// six row-engine algorithms (`par-*`, `seq-*`) funnel through here.
-fn drive_row_engine<E: Engine<Output = ApspOutput>>(
+/// Loads `--resume`'s checkpoint, validated against the graph.
+fn load_resume(args: &Args, graph: &CsrGraph) -> Result<Option<Checkpoint>, String> {
+    let Some(path) = args.get("resume") else {
+        return Ok(None);
+    };
+    let cp =
+        persist::load_checkpoint(path).map_err(|e| format!("loading checkpoint {path}: {e}"))?;
+    if cp.n() != graph.vertex_count() {
+        return Err(format!(
+            "checkpoint {path} is for {} vertices but the graph has {}",
+            cp.n(),
+            graph.vertex_count()
+        ));
+    }
+    println!(
+        "resuming: {} of {} rows already complete",
+        cp.completed_count(),
+        cp.n()
+    );
+    Ok(Some(cp))
+}
+
+/// Drives `engine` through the [`Runner`], from `--resume`'s checkpoint
+/// when given, with or without a cancel token. A stopped run writes its
+/// stop checkpoint and comes back as `Err` with the exit status.
+fn drive<E: Engine>(
     runner: &Runner,
     engine: E,
     graph: &CsrGraph,
     args: &Args,
     token: Option<&CancelToken>,
-) -> Result<RunOutcome<ApspOutput>, String> {
-    match args.get("resume") {
-        Some(path) => {
-            use parapsp_core::persist;
-            let cp = persist::load_checkpoint(path)
-                .map_err(|e| format!("loading checkpoint {path}: {e}"))?;
-            if cp.n() != graph.vertex_count() {
-                return Err(format!(
-                    "checkpoint {path} is for {} vertices but the graph has {}",
-                    cp.n(),
-                    graph.vertex_count()
-                ));
-            }
-            println!(
-                "resuming: {} of {} rows already complete",
-                cp.completed_count(),
-                cp.n()
-            );
-            Ok(match token {
-                Some(token) => runner.run_resumed_with_token(engine, graph, cp, token),
-                None => RunOutcome::Complete(runner.run_resumed(engine, graph, cp)),
-            })
-        }
-        None => Ok(match token {
-            Some(token) => runner.run_with_token(engine, graph, token),
-            None => RunOutcome::Complete(runner.run(engine, graph)),
-        }),
-    }
+) -> Result<Result<E::Output, RunStatus>, CliError> {
+    let outcome = match (token, load_resume(args, graph)?) {
+        (Some(token), Some(cp)) => runner.run_resumed_with_token(engine, graph, cp, token),
+        (Some(token), None) => runner.run_with_token(engine, graph, token),
+        (None, Some(cp)) => RunOutcome::Complete(runner.run_resumed(engine, graph, cp)),
+        (None, None) => RunOutcome::Complete(runner.run(engine, graph)),
+    };
+    let (checkpoint, why, code) = match outcome {
+        RunOutcome::Complete(out) => return Ok(Ok(out)),
+        RunOutcome::Cancelled { checkpoint } => (checkpoint, "interrupted", 130),
+        RunOutcome::DeadlineExceeded { checkpoint } => (checkpoint, "deadline exceeded", 124),
+    };
+    write_stop_checkpoint(args, &checkpoint, why, code).map(Err)
 }
 
 fn run_algorithm(
@@ -602,6 +609,18 @@ fn run_algorithm(
     args: &Args,
     token: Option<&CancelToken>,
 ) -> Result<RunStatus, CliError> {
+    // A flag an algorithm would silently ignore is a usage error naming
+    // the algorithms that honour it.
+    let reject = |flag: &str, honours: fn(EngineKind) -> bool| -> Result<(), CliError> {
+        if args.get(flag).is_some() && !honours(kind) {
+            return Err(CliError::Usage(format!(
+                "--{flag} works with {} (got `{}`)",
+                kinds_where(honours),
+                kind.value_name()
+            )));
+        }
+        Ok(())
+    };
     // Optional bounded horizon (exact within the cap, INF beyond it).
     let cap: Option<u32> = match args.get("cap") {
         None => None,
@@ -610,6 +629,13 @@ fn run_algorithm(
                 .map_err(|_| format!("--cap value `{raw}` is invalid"))?,
         ),
     };
+    reject("cap", EngineKind::honours_cap)?;
+    let credit_weight: Option<u64> = args
+        .get("credit-weight")
+        .map(|_| args.get_parsed("credit-weight", 0))
+        .transpose()?;
+    reject("credit-weight", EngineKind::adaptive)?;
+    reject("block", |kind| kind == EngineKind::BlockedFw)?;
     // Row-relaxation implementation (the vectorized kernel ablation switch).
     let relax = args.get_enum("relax", RelaxImpl::Auto)?;
     // Periodic checkpoints, the run ledger, and --resume need rows that
@@ -617,14 +643,7 @@ fn run_algorithm(
     // joins the row engines for the ledger and resume (but not for the
     // periodic full rewrite). --relax needs the modified-Dijkstra kernel.
     let row_durable = kind.row_checkpoints() || kind == EngineKind::Dist;
-    if args.get("checkpoint").is_some() && !kind.row_checkpoints() {
-        return Err(format!(
-            "--checkpoint works with {} (got `{}`)",
-            kinds_where(EngineKind::row_checkpoints),
-            kind.value_name()
-        )
-        .into());
-    }
+    reject("checkpoint", EngineKind::row_checkpoints)?;
     if (args.get("ledger").is_some() || args.get("resume").is_some()) && !row_durable {
         return Err(format!(
             "--ledger/--resume work with {}, dist (got `{}`)",
@@ -644,14 +663,7 @@ fn run_algorithm(
     if args.get("ledger-fsync").is_some() && args.get("ledger").is_none() {
         return Err("--ledger-fsync needs --ledger".to_string().into());
     }
-    if args.get("relax").is_some() && !kind.uses_kernel() {
-        return Err(format!(
-            "--relax works with {} (got `{}`)",
-            kinds_where(EngineKind::uses_kernel),
-            kind.value_name()
-        )
-        .into());
-    }
+    reject("relax", EngineKind::uses_kernel)?;
     // Source-sweep loop schedule (only the Runner-driven parallel engines
     // hand their source loop to the parfor pool).
     let schedule: Option<Schedule> = match args.get("schedule") {
@@ -661,26 +673,12 @@ fn run_algorithm(
                 .map_err(|e| format!("--schedule value `{raw}` is invalid: {e}"))?,
         ),
     };
-    if schedule.is_some() && !kind.honours_schedule() {
-        return Err(format!(
-            "--schedule works with {} (got `{}`)",
-            kinds_where(EngineKind::honours_schedule),
-            kind.value_name()
-        )
-        .into());
-    }
+    reject("schedule", EngineKind::honours_schedule)?;
     // Distance-matrix storage backend. Only engines that route published
     // rows through a `Store` (the row engines and the dist gather) can
     // honour it; the in-place baselines would silently ignore the flag.
     let store = args.get_spec("store", parapsp_core::StoreSpec::default())?;
-    if args.get("store").is_some() && !kind.supports_store() {
-        return Err(format!(
-            "--store works with {}, dist (got `{}`)",
-            kinds_where(EngineKind::row_checkpoints),
-            kind.value_name()
-        )
-        .into());
-    }
+    reject("store", EngineKind::supports_store)?;
     // Reject a hot-row cache budget that cannot hold the lease working
     // set here, where it is a clean `--store` error with the minimum
     // named, instead of a panic when the engine builds the store.
@@ -692,14 +690,7 @@ fn run_algorithm(
     // reported, and its schedule/relax recommendations fill in whichever
     // of those flags the user left unset.
     let mut solver = args.get_spec("solver", SolverKind::default())?;
-    if args.get("solver").is_some() && !kind.uses_kernel() {
-        return Err(format!(
-            "--solver works with {} (got `{}`)",
-            kinds_where(EngineKind::uses_kernel),
-            kind.value_name()
-        )
-        .into());
-    }
+    reject("solver", EngineKind::uses_kernel)?;
     let mut relax = relax;
     let mut schedule = schedule;
     if solver == SolverKind::Auto && kind.uses_kernel() {
@@ -751,102 +742,32 @@ fn run_algorithm(
         }
         config
     };
-    let outcome = match kind {
-        EngineKind::ParApsp => drive_row_engine(
-            &Runner::new(configure(RunConfig::par_apsp(threads))),
-            ApspEngine::new(),
-            graph,
-            args,
-            token,
-        )?,
-        EngineKind::ParAlg1 => drive_row_engine(
-            &Runner::new(configure(RunConfig::par_alg1(threads))),
-            ApspEngine::new(),
-            graph,
-            args,
-            token,
-        )?,
-        EngineKind::ParAlg2 => drive_row_engine(
-            &Runner::new(configure(RunConfig::par_alg2(threads))),
-            ApspEngine::new(),
-            graph,
-            args,
-            token,
-        )?,
-        EngineKind::SeqBasic => drive_row_engine(
-            &Runner::new(configure(RunConfig::seq_basic())),
-            SeqEngine::ordered(),
-            graph,
-            args,
-            token,
-        )?,
-        EngineKind::SeqOptimized => drive_row_engine(
-            &Runner::new(configure(RunConfig::seq_optimized(1.0))),
-            SeqEngine::ordered(),
-            graph,
-            args,
-            token,
-        )?,
-        EngineKind::SeqAdaptive => {
-            let weight = args.get_parsed("credit-weight", 10u64)?;
-            drive_row_engine(
-                &Runner::new(configure(RunConfig::seq_adaptive(weight))),
-                SeqEngine::adaptive(weight),
-                graph,
-                args,
-                token,
-            )?
-        }
-        EngineKind::ParAdaptive => {
-            RunOutcome::Complete(par_adaptive(graph, threads, AdaptiveConfig::default()))
-        }
+    let (dist, summary) = match kind {
         EngineKind::FloydWarshall => {
             let start = std::time::Instant::now();
             let dist = baselines::floyd_warshall(graph);
-            return Ok(RunStatus::Done(
-                dist,
-                format!("floyd-warshall: {:?}", start.elapsed()),
-            ));
+            (dist, format!("floyd-warshall: {:?}", start.elapsed()))
         }
         EngineKind::Dijkstra => {
             let pool = ThreadPool::new(threads);
             let start = std::time::Instant::now();
             let dist = baselines::par_apsp_dijkstra(graph, &pool);
-            return Ok(RunStatus::Done(
-                dist,
-                format!("parallel heap-dijkstra: {:?}", start.elapsed()),
-            ));
+            let summary = format!("parallel heap-dijkstra: {:?}", start.elapsed());
+            (dist, summary)
         }
         EngineKind::BlockedFw => {
             let block = args.get_parsed("block", 64usize)?;
             let runner = Runner::new(configure(RunConfig::new(threads)));
             let start = std::time::Instant::now();
-            let dist = match token {
-                Some(token) => {
-                    match runner.run_with_token(BlockedFwEngine::new(block), graph, token) {
-                        RunOutcome::Complete(dist) => dist,
-                        RunOutcome::Cancelled { checkpoint } => {
-                            return write_stop_checkpoint(args, &checkpoint, "interrupted", 130)
-                        }
-                        RunOutcome::DeadlineExceeded { checkpoint } => {
-                            return write_stop_checkpoint(
-                                args,
-                                &checkpoint,
-                                "deadline exceeded",
-                                124,
-                            )
-                        }
-                    }
-                }
-                None => runner.run(BlockedFwEngine::new(block), graph),
+            let dist = match drive(&runner, BlockedFwEngine::new(block), graph, args, token)? {
+                Ok(dist) => dist,
+                Err(stopped) => return Ok(stopped),
             };
-            return Ok(RunStatus::Done(
-                dist,
-                format!(
-                    "blocked floyd-warshall ({threads} threads, {block}-tile): {:?}",
-                    start.elapsed()
-                ),
-            ));
+            let summary = format!(
+                "blocked floyd-warshall ({threads} threads, {block}-tile): {:?}",
+                start.elapsed()
+            );
+            (dist, summary)
         }
         EngineKind::Dist => {
             let nodes = args.get_parsed("nodes", 4usize)?;
@@ -876,43 +797,10 @@ fn run_algorithm(
             // A restarted driver resumes from its own ledger (or any
             // checkpoint): prior rows pre-seed the gather and only the
             // missing sources are dealt to the workers.
-            let resume = match args.get("resume") {
-                None => None,
-                Some(path) => {
-                    let cp = parapsp_core::persist::load_checkpoint(path)
-                        .map_err(|e| format!("loading checkpoint {path}: {e}"))?;
-                    if cp.n() != graph.vertex_count() {
-                        return Err(format!(
-                            "checkpoint {path} is for {} vertices but the graph has {}",
-                            cp.n(),
-                            graph.vertex_count()
-                        )
-                        .into());
-                    }
-                    println!(
-                        "resuming: {} of {} rows already complete",
-                        cp.completed_count(),
-                        cp.n()
-                    );
-                    Some(cp)
-                }
-            };
             let runner = Runner::new(configure(RunConfig::new(1)));
-            let engine = DistEngine::new(cluster);
-            let outcome = match (token, resume) {
-                (Some(token), Some(cp)) => runner.run_resumed_with_token(engine, graph, cp, token),
-                (Some(token), None) => runner.run_with_token(engine, graph, token),
-                (None, Some(cp)) => RunOutcome::Complete(runner.run_resumed(engine, graph, cp)),
-                (None, None) => RunOutcome::Complete(runner.run(engine, graph)),
-            };
-            let out = match outcome {
-                RunOutcome::Complete(out) => out,
-                RunOutcome::Cancelled { checkpoint } => {
-                    return write_stop_checkpoint(args, &checkpoint, "interrupted", 130)
-                }
-                RunOutcome::DeadlineExceeded { checkpoint } => {
-                    return write_stop_checkpoint(args, &checkpoint, "deadline exceeded", 124)
-                }
+            let out = match drive(&runner, DistEngine::new(cluster), graph, args, token)? {
+                Ok(out) => out,
+                Err(stopped) => return Ok(stopped),
             };
             let sum = |field: fn(&parapsp_dist::NodeStats) -> u64| {
                 out.node_stats.iter().map(field).sum::<u64>()
@@ -937,34 +825,36 @@ fn run_algorithm(
                 sum(|s| s.reconnects),
                 sum(|s| s.heartbeat_misses),
             );
-            return Ok(RunStatus::Done(out.dist, summary));
+            (out.dist, summary)
+        }
+        // Every other kind is a configuration of the one row engine.
+        _ => {
+            let (config, engine) = kind
+                .row_engine(threads, credit_weight)
+                .expect("the remaining kinds are row engines");
+            let out = match drive(&Runner::new(configure(config)), engine, graph, args, token)? {
+                Ok(out) => out,
+                Err(stopped) => return Ok(stopped),
+            };
+            let summary = format!(
+                "{} ({} threads): ordering {:?}, sssp {:?}, total {:?}; {} relaxations, {} row \
+                 reuses ({} lease hits / {} misses, {} decode-ahead, pinned peak {} B)",
+                out.algorithm,
+                out.threads,
+                out.timings.ordering,
+                out.timings.sssp,
+                out.timings.total,
+                out.counters.relaxations,
+                out.counters.row_reuses,
+                out.counters.lease_hits,
+                out.counters.lease_misses,
+                out.counters.decode_ahead_hits,
+                out.counters.pinned_bytes_peak
+            );
+            (out.dist, summary)
         }
     };
-    let out = match outcome {
-        RunOutcome::Complete(out) => out,
-        RunOutcome::Cancelled { checkpoint } => {
-            return write_stop_checkpoint(args, &checkpoint, "interrupted", 130)
-        }
-        RunOutcome::DeadlineExceeded { checkpoint } => {
-            return write_stop_checkpoint(args, &checkpoint, "deadline exceeded", 124)
-        }
-    };
-    let summary = format!(
-        "{} ({} threads): ordering {:?}, sssp {:?}, total {:?}; {} relaxations, {} row reuses \
-         ({} lease hits / {} misses, {} decode-ahead, pinned peak {} B)",
-        out.algorithm,
-        out.threads,
-        out.timings.ordering,
-        out.timings.sssp,
-        out.timings.total,
-        out.counters.relaxations,
-        out.counters.row_reuses,
-        out.counters.lease_hits,
-        out.counters.lease_misses,
-        out.counters.decode_ahead_hits,
-        out.counters.pinned_bytes_peak
-    );
-    Ok(RunStatus::Done(out.dist, summary))
+    Ok(RunStatus::Done(dist, summary))
 }
 
 /// `parapsp apsp <file>` (alias `run`) — run one algorithm and report.
@@ -997,7 +887,6 @@ pub fn apsp(args: &Args) -> Result<i32, CliError> {
         stats.connectivity() * 100.0
     );
     if let Some(out_path) = args.get("out") {
-        use parapsp_core::persist;
         if out_path.ends_with(".tsv") || out_path.ends_with(".txt") {
             let file = std::fs::File::create(out_path)
                 .map_err(|e| CliError::failure(format!("creating {out_path}: {e}")))?;
@@ -1289,6 +1178,76 @@ mod tests {
     }
 
     #[test]
+    fn cap_is_honoured_or_rejected() {
+        let dir = TestDir::new();
+        let file = dir.sample();
+        let run = |algorithm: &str, extra: &[&str]| -> Vec<u8> {
+            let out = dir.join(format!("{algorithm}{}.bin", extra.concat()));
+            let out = out.to_string_lossy();
+            let mut tokens = vec!["apsp", &file, "--algorithm", algorithm, "--out", &out];
+            tokens.extend_from_slice(extra);
+            assert_eq!(apsp(&args(&tokens)).unwrap(), 0, "{algorithm} {extra:?}");
+            std::fs::read(out.as_ref()).unwrap()
+        };
+        // par-adaptive applies the cap in its kernel, like par-apsp...
+        let capped = run("par-apsp", &["--cap", "1"]);
+        assert_ne!(capped, run("par-apsp", &[]));
+        assert_eq!(run("par-adaptive", &["--cap", "1"]), capped);
+        // ...and the baselines, which would ignore it, reject it.
+        for algorithm in ["floyd-warshall", "dijkstra"] {
+            let err = apsp(&args(&[
+                "apsp",
+                &file,
+                "--algorithm",
+                algorithm,
+                "--cap",
+                "1",
+            ]))
+            .unwrap_err();
+            assert_eq!(err.exit_code(), 2, "{algorithm}: {err}");
+            let message = err.to_string();
+            assert!(
+                message.contains("--cap works with") && message.contains("par-adaptive"),
+                "{algorithm}: {message}"
+            );
+        }
+    }
+
+    #[test]
+    fn credit_weight_reaches_both_adaptive_kinds_and_nothing_else() {
+        let dir = TestDir::new();
+        let file = dir.sample();
+        for (algorithm, label) in [
+            ("par-adaptive", "ParAdaptive(wave=8, w=5)"),
+            ("seq-adaptive", "SeqAdaptive(w=5)"),
+        ] {
+            let args = args(&["apsp", &file, "--credit-weight", "5"]);
+            let graph = load(&args).unwrap().graph;
+            let kind = EngineKind::parse_value(algorithm).unwrap();
+            match run_algorithm(kind, &graph, 2, &args, None).unwrap() {
+                RunStatus::Done(_, summary) => assert!(summary.starts_with(label), "{summary}"),
+                RunStatus::Stopped { .. } => panic!("{algorithm} stopped"),
+            }
+        }
+        for algorithm in ["par-apsp", "seq-basic", "blocked-fw", "dist"] {
+            let err = apsp(&args(&[
+                "apsp",
+                &file,
+                "--algorithm",
+                algorithm,
+                "--credit-weight",
+                "5",
+            ]))
+            .unwrap_err();
+            assert_eq!(err.exit_code(), 2, "{algorithm}: {err}");
+            assert!(
+                err.to_string().contains("--credit-weight works with"),
+                "{algorithm}: {err}"
+            );
+        }
+    }
+
+    #[test]
     fn relax_impl_selection_via_cli() {
         let dir = TestDir::new();
         let file = dir.sample();
@@ -1340,7 +1299,7 @@ mod tests {
             "work-stealing",
             "work-stealing:4",
         ] {
-            for algorithm in ["par-apsp", "par-alg1", "par-alg2"] {
+            for algorithm in ["par-apsp", "par-alg1", "par-alg2", "par-adaptive"] {
                 apsp(&args(&[
                     "apsp",
                     &file,
@@ -1459,9 +1418,9 @@ mod tests {
         let dir = TestDir::new();
         let file = dir.sample();
         // Every spelling the parser accepts, on a parallel row engine, a
-        // sequential one, and the dist gather.
+        // sequential one, the adaptive one, and the dist gather.
         for store in ["dense", "delta", "delta:4", "mmap", "mmap:64k"] {
-            for algorithm in ["par-apsp", "seq-basic", "dist"] {
+            for algorithm in ["par-apsp", "seq-basic", "par-adaptive", "dist"] {
                 apsp(&args(&[
                     "apsp",
                     &file,
@@ -1491,7 +1450,7 @@ mod tests {
         }
         // Engines that mutate a dense matrix in place reject the flag,
         // naming the ones that route rows through a store.
-        for algorithm in ["blocked-fw", "floyd-warshall", "dijkstra", "par-adaptive"] {
+        for algorithm in ["blocked-fw", "floyd-warshall", "dijkstra"] {
             let err = apsp(&args(&[
                 "apsp",
                 &file,
@@ -1861,6 +1820,7 @@ mod tests {
         for (i, algorithm) in [
             "par-alg1",
             "par-alg2",
+            "par-adaptive",
             "seq-basic",
             "seq-optimized",
             "seq-adaptive",
@@ -1886,7 +1846,7 @@ mod tests {
             ];
             // --checkpoint applies to the row engines; the others fall back
             // to the derived <file>.interrupt.ckpt path.
-            let row_engine = algorithm.starts_with("par-alg") || algorithm.starts_with("seq-");
+            let row_engine = algorithm.starts_with("par-") || algorithm.starts_with("seq-");
             let code = if row_engine {
                 apsp(&args(&tokens)).unwrap()
             } else {

@@ -17,12 +17,12 @@
 //!   flush, cancellation plumbing, per-row trace collection, phase
 //!   timing, and [`RunOutcome`] assembly.
 //!
-//! The five engine families all implement the trait: [`ApspEngine`] (the
-//! shared-memory parallel drivers), [`SeqEngine`] (Peng's sequential
-//! family, including the adaptive variant), [`SubsetEngine`]
-//! (memory-bounded subset rows), [`BlockedFwEngine`] (the blocked
-//! Floyd–Warshall comparator), and `DistEngine` in the `parapsp-dist`
-//! crate (the simulated cluster driver).
+//! Four engines implement the trait: [`ApspEngine`] (the row engine:
+//! the paper's parallel drivers and Peng's sequential family, static or
+//! adaptive source order), [`SubsetEngine`] (memory-bounded subset rows),
+//! [`BlockedFwEngine`] (the blocked Floyd–Warshall comparator), and
+//! `DistEngine` in the `parapsp-dist` crate (the simulated cluster
+//! driver).
 //!
 //! Every run is constructed the same way — pick a [`RunConfig`], pick an
 //! engine, and drive it through a [`Runner`]:
@@ -116,9 +116,11 @@ impl ValueEnum for FsyncPolicy {
 
 /// Every APSP algorithm selectable from the CLI, by its stable name.
 ///
-/// The first eight run through the [`Runner`] pipeline; the last three
-/// (`par-adaptive` and the two baselines) are direct calls kept for
-/// comparison and are not cancellable.
+/// The first seven are configurations of the one row engine,
+/// [`ApspEngine`] ([`EngineKind::row_engine`]); they and the next two
+/// (`blocked-fw`, `dist`) run through the [`Runner`] and are
+/// cancellable. The last two (`floyd-warshall`, `dijkstra`) are direct
+/// baseline calls kept for comparison.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EngineKind {
     /// **ParAPSP** (paper Alg. 8): MultiLists ordering + dynamic-cyclic.
@@ -133,12 +135,12 @@ pub enum EngineKind {
     SeqOptimized,
     /// Peng's adaptive sequential variant (intermediate-credit ordering).
     SeqAdaptive,
+    /// The adaptive order in parallel waves of 8 sources per thread.
+    ParAdaptive,
     /// Cache-blocked parallel Floyd–Warshall (related-work comparator).
     BlockedFw,
     /// The simulated distributed-memory cluster driver.
     Dist,
-    /// The adaptive parallel extension (separate subsystem, not `Runner`-driven).
-    ParAdaptive,
     /// Plain Floyd–Warshall baseline.
     FloydWarshall,
     /// Parallel binary-heap Dijkstra baseline.
@@ -146,45 +148,97 @@ pub enum EngineKind {
 }
 
 impl EngineKind {
-    /// Whether the algorithm supports cooperative cancellation
-    /// (`--deadline` / checkpoint-on-interrupt).
-    pub fn cancellable(self) -> bool {
+    /// Whether the algorithm is a configuration of [`ApspEngine`]. Every
+    /// row-engine capability below derives from this and
+    /// [`EngineKind::sequential`].
+    fn is_row_engine(self) -> bool {
         !matches!(
             self,
-            EngineKind::ParAdaptive | EngineKind::FloydWarshall | EngineKind::Dijkstra
+            EngineKind::BlockedFw
+                | EngineKind::Dist
+                | EngineKind::FloydWarshall
+                | EngineKind::Dijkstra
         )
+    }
+
+    /// Whether the algorithm is one of Peng's sequential row engines,
+    /// which always sweep on one thread.
+    fn sequential(self) -> bool {
+        matches!(
+            self,
+            EngineKind::SeqBasic | EngineKind::SeqOptimized | EngineKind::SeqAdaptive
+        )
+    }
+
+    /// The algorithm's [`RunConfig`] at `threads` (the sequential family
+    /// always runs one) paired with its [`ApspEngine`], or `None` when it
+    /// is not a row engine. `credit_weight` overrides the adaptive kinds'
+    /// default (10 for `seq-adaptive`, 16 for `par-adaptive`).
+    pub fn row_engine(
+        self,
+        threads: usize,
+        credit_weight: Option<u64>,
+    ) -> Option<(RunConfig, ApspEngine)> {
+        Some(match self {
+            EngineKind::ParApsp => (RunConfig::par_apsp(threads), ApspEngine::new()),
+            EngineKind::ParAlg1 => (RunConfig::par_alg1(threads), ApspEngine::new()),
+            EngineKind::ParAlg2 => (RunConfig::par_alg2(threads), ApspEngine::new()),
+            EngineKind::SeqBasic => (RunConfig::seq_basic(), ApspEngine::ordered()),
+            EngineKind::SeqOptimized => (RunConfig::seq_optimized(1.0), ApspEngine::ordered()),
+            EngineKind::SeqAdaptive => {
+                let w = credit_weight.unwrap_or(10);
+                (RunConfig::seq_adaptive(w), ApspEngine::adaptive(w))
+            }
+            EngineKind::ParAdaptive => {
+                let w = credit_weight.unwrap_or(16);
+                let config = RunConfig::new(threads)
+                    .with_schedule(Schedule::dynamic_cyclic())
+                    .with_label(format!("ParAdaptive(wave=8, w={w})"));
+                (config, ApspEngine::adaptive_waves(w, 8))
+            }
+            _ => return None,
+        })
+    }
+
+    /// Whether the algorithm runs through the [`Runner`] and so supports
+    /// cooperative cancellation (`--deadline` / checkpoint-on-interrupt).
+    pub fn cancellable(self) -> bool {
+        !matches!(self, EngineKind::FloydWarshall | EngineKind::Dijkstra)
+    }
+
+    /// Whether the algorithm honours `--cap`: the row engines in their
+    /// kernel, `blocked-fw` and `dist` as a finish-time filter. The two
+    /// baselines would ignore it.
+    pub fn honours_cap(self) -> bool {
+        self.cancellable()
     }
 
     /// Whether completed rows are final mid-run, i.e. the engine supports
     /// periodic row checkpoints and `--resume`.
     pub fn row_checkpoints(self) -> bool {
-        matches!(
-            self,
-            EngineKind::ParApsp
-                | EngineKind::ParAlg1
-                | EngineKind::ParAlg2
-                | EngineKind::SeqBasic
-                | EngineKind::SeqOptimized
-                | EngineKind::SeqAdaptive
-        )
+        self.is_row_engine()
     }
 
     /// Whether the algorithm runs the modified-Dijkstra kernel, i.e.
-    /// honours `--relax` and `--cap` natively.
+    /// honours `--relax` and `--solver`.
     pub fn uses_kernel(self) -> bool {
-        self.row_checkpoints()
+        self.is_row_engine()
+    }
+
+    /// Whether the algorithm picks its sources by intermediate credit,
+    /// i.e. honours `--credit-weight`.
+    pub fn adaptive(self) -> bool {
+        matches!(self, EngineKind::SeqAdaptive | EngineKind::ParAdaptive)
     }
 
     /// Whether the algorithm sweeps its sources through the configured
-    /// loop [`Schedule`], i.e. honours `--schedule`. The sequential
-    /// family runs one thread (every schedule degenerates to index
-    /// order) and the remaining algorithms pick their internal schedules
-    /// themselves, so overriding theirs would be silently ignored.
+    /// loop [`Schedule`], i.e. honours `--schedule`: the parallel row
+    /// engines. The sequential family runs one thread (every schedule
+    /// degenerates to index order) and the remaining algorithms pick
+    /// their internal schedules themselves, so overriding theirs would be
+    /// silently ignored.
     pub fn honours_schedule(self) -> bool {
-        matches!(
-            self,
-            EngineKind::ParApsp | EngineKind::ParAlg1 | EngineKind::ParAlg2
-        )
+        self.is_row_engine() && !self.sequential()
     }
 
     /// Whether the algorithm keeps its distance matrix in a
@@ -194,7 +248,7 @@ impl EngineKind {
     /// store); the baselines and the blocked Floyd–Warshall mutate dense
     /// matrices in place and ignore the flag.
     pub fn supports_store(self) -> bool {
-        self.row_checkpoints() || self == EngineKind::Dist
+        self.is_row_engine() || self == EngineKind::Dist
     }
 }
 
@@ -207,9 +261,9 @@ impl ValueEnum for EngineKind {
             EngineKind::SeqBasic,
             EngineKind::SeqOptimized,
             EngineKind::SeqAdaptive,
+            EngineKind::ParAdaptive,
             EngineKind::BlockedFw,
             EngineKind::Dist,
-            EngineKind::ParAdaptive,
             EngineKind::FloydWarshall,
             EngineKind::Dijkstra,
         ]
@@ -357,7 +411,7 @@ impl RunConfig {
     }
 
     /// Peng's adaptive sequential variant (pair with
-    /// [`SeqEngine::adaptive`]; the order is chosen at run time).
+    /// [`ApspEngine::adaptive`]; the order is chosen at run time).
     pub fn seq_adaptive(credit_weight: u64) -> Self {
         RunConfig::new(1).with_label(format!("SeqAdaptive(w={credit_weight})"))
     }
@@ -417,9 +471,8 @@ impl RunConfig {
     /// Selects the distance-matrix storage backend (see [`crate::store`]).
     /// The default dense store is the bit-identity reference; the delta
     /// and mmap tiers trade row-read cost for memory. Every backend yields
-    /// a bit-identical final matrix; backends that cannot lend `&[u32]`
-    /// rows cheaply silently disable row reuse (the kernel degrades to
-    /// plain edge relaxation, still exact).
+    /// a bit-identical final matrix, and row reuse fires on every backend
+    /// (the tiered ones lend decoded rows through pinned leases).
     pub fn with_store(mut self, store: StoreSpec) -> Self {
         self.store = store;
         self
@@ -544,7 +597,7 @@ pub struct Plan {
     /// Work units in execution order. For the row engines these are source
     /// vertices (resume-filtered); for [`SubsetEngine`] they are slot
     /// indices into its source list; for [`BlockedFwEngine`] pivot-tile
-    /// indices; adaptive engines may treat them as opaque step counters.
+    /// indices. The adaptive order uses only their count.
     pub units: Vec<u32>,
     /// Wall time spent computing the source ordering.
     pub ordering: Duration,
@@ -638,8 +691,8 @@ pub trait Engine {
     ///
     /// The default builds a full [`Engine::snapshot`] and visits every
     /// completed row — correct for any engine, O(n²) per batch.
-    /// [`ApspEngine`] and [`SeqEngine`] override it with an O(batch · row)
-    /// walk of their published rows.
+    /// [`ApspEngine`] overrides it with an O(batch · row) walk of its
+    /// published rows.
     fn visit_rows(&self, _units: &[u32], visit: &mut dyn FnMut(u32, &[u32])) {
         let snapshot = self.snapshot();
         for s in 0..snapshot.n() as u32 {
@@ -1066,44 +1119,181 @@ fn journal_solved_row(journal: Option<&RowJournal>, store: &Store, s: u32, ws: &
     }
 }
 
-/// The row engines' [`Engine::visit_rows`] fallback: visits the published
-/// rows among `sources` through [`Store::read_row_into`], which bypasses
-/// the hot-row cache, so a fallback walk never evicts the kernel's rows.
-fn visit_published(
-    store: &Store,
-    sources: impl Iterator<Item = u32>,
-    visit: &mut dyn FnMut(u32, &[u32]),
-) {
-    let mut buf = vec![INF; store.n()];
-    for s in sources {
-        if store.read_row_into(s, &mut buf) {
-            visit(s, &buf);
+// ---------------------------------------------------------------------------
+// ApspEngine — the row engine
+// ---------------------------------------------------------------------------
+
+/// Where [`ApspEngine`] takes its sources from.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+enum OrderSource {
+    /// The [`RunConfig`]'s ordering procedure, computed once up front.
+    #[default]
+    Static,
+    /// Peng's adaptive order, picked in waves of `wave × threads` sources.
+    /// Before each wave the remaining sources are ranked by
+    /// `credit · credit_weight + degree`, ties to the lower index; a
+    /// vertex's credit counts the shortest paths it relayed in earlier
+    /// waves.
+    Adaptive { credit_weight: u64, wave: usize },
+}
+
+/// The adaptive order's run state.
+struct Adaptive {
+    degrees: Vec<u32>,
+    /// Relay credit folded in from every finished wave.
+    credit: Vec<u64>,
+    /// Sources not yet picked.
+    remaining: Vec<u32>,
+}
+
+impl Adaptive {
+    /// Removes the `k` best-ranked remaining sources and returns them
+    /// best first: an O(n) select, then a sort of the wave alone.
+    fn pick(&mut self, k: usize, credit_weight: u64) -> Vec<u32> {
+        let Adaptive {
+            degrees,
+            credit,
+            remaining,
+        } = self;
+        let key = |&v: &u32| {
+            let score = credit[v as usize]
+                .saturating_mul(credit_weight)
+                .saturating_add(degrees[v as usize] as u64);
+            (std::cmp::Reverse(score), v)
+        };
+        if k < remaining.len() {
+            remaining.select_nth_unstable_by_key(k, key);
         }
+        let mut wave: Vec<u32> = remaining.drain(..k).collect();
+        wave.sort_unstable_by_key(key);
+        wave
     }
 }
 
-// ---------------------------------------------------------------------------
-// ApspEngine — the shared-memory parallel row engine
-// ---------------------------------------------------------------------------
+/// One pool thread's scratch, counters, busy time, and the current wave's
+/// relay credit (adaptive order only, else empty).
+type RowLocal = (Workspace, Counters, Duration, Vec<u64>);
 
-/// The shared-memory parallel APSP engine: the modified Dijkstra from
-/// every source, sources as independent tasks over the configured
-/// ordering and schedule, rows shared through the Release/Acquire
-/// publication protocol.
+/// The row engine: the modified Dijkstra from every source, sources as
+/// independent tasks on the pool under the configured schedule, rows
+/// shared through the Release/Acquire publication protocol.
 ///
-/// Pair with the `RunConfig::par_*` constructors to reproduce the paper's
-/// drivers (ParAlg1, ParAlg2, ParBuckets, ParMax, ParAPSP).
+/// Every paper algorithm that solves rows is a configuration of it:
+/// [`ApspEngine::new`] with the `RunConfig::par_*` constructors gives
+/// ParAlg1, ParAlg2, ParBuckets, ParMax and ParAPSP; the same static
+/// order at one thread ([`SeqEngine::ordered`]) gives Peng's Alg. 2/3;
+/// [`ApspEngine::adaptive`] and [`ApspEngine::adaptive_waves`] pick the
+/// sources adaptively instead.
 #[derive(Default)]
 pub struct ApspEngine {
+    order: OrderSource,
     store: Option<Store>,
-    locals: Option<PerThread<(Workspace, Counters, Duration)>>,
+    locals: Option<PerThread<RowLocal>>,
     solver: Option<RowSolver>,
+    adaptive: Option<Adaptive>,
 }
 
+/// Peng's sequential family: [`ApspEngine`] run at one thread.
+pub type SeqEngine = ApspEngine;
+
 impl ApspEngine {
-    /// A fresh engine; all behaviour comes from the [`RunConfig`].
+    /// A row engine following the [`RunConfig`]'s ordering.
     pub fn new() -> Self {
         ApspEngine::default()
+    }
+
+    /// [`ApspEngine::new`], named for Peng's sequential family (basic,
+    /// optimized and bucket differ only in the config's ordering).
+    pub fn ordered() -> Self {
+        ApspEngine::new()
+    }
+
+    /// Peng's adaptive variant: one source per thread per wave, so at one
+    /// thread the next source is picked after every row.
+    pub fn adaptive(credit_weight: u64) -> Self {
+        ApspEngine::adaptive_waves(credit_weight, 1)
+    }
+
+    /// The adaptive order in waves of `wave` sources per pool thread.
+    /// Within a wave the order is fixed, so the wave parallelizes like
+    /// ParAPSP; between waves the remaining sources are re-ranked.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `wave` is zero.
+    pub fn adaptive_waves(credit_weight: u64, wave: usize) -> Self {
+        assert!(wave > 0, "wave size must be positive");
+        ApspEngine {
+            order: OrderSource::Adaptive {
+                credit_weight,
+                wave,
+            },
+            ..ApspEngine::default()
+        }
+    }
+
+    /// Solves `sources` on the pool under the config's schedule: the one
+    /// per-source body of every order source. `feedback` collects relay
+    /// credit into each thread's credit slot.
+    fn sweep(
+        &self,
+        graph: &CsrGraph,
+        sources: &[u32],
+        ctx: &RowsCtx<'_>,
+        feedback: bool,
+    ) -> RowsOutcome {
+        let store = self.store.as_ref().expect("prepare() not called");
+        let locals = self.locals.as_ref().expect("prepare() not called");
+        let solver = self.solver.as_ref().expect("prepare() not called");
+        let kernel = ctx.config.kernel();
+        let trace = ctx.trace;
+        let journal = ctx.journal;
+        let body = |tid: usize, k: usize| {
+            let s = sources[k];
+            // SAFETY: each pool thread touches only its own scratch slot.
+            let (ws, counters, busy, credit) = unsafe { locals.get_mut(tid) };
+            let t0 = Instant::now();
+            // Every source is swept once per run, so source `s` belongs to
+            // exactly this iteration — satisfying the unique-row-owner
+            // contract of the solvers (and of `Store::try_row_mut`).
+            let credit = feedback.then_some(&mut credit[..]);
+            solver.solve_row(graph, s, store, ws, kernel, counters, credit);
+            journal_solved_row(journal, store, s, ws);
+            let elapsed = t0.elapsed();
+            *busy += elapsed;
+            if let Some(view) = trace {
+                // SAFETY: as above, the trace slot of `s` belongs
+                // exclusively to this iteration.
+                unsafe { view.write(s as usize, elapsed.as_nanos() as u64) };
+            }
+        };
+        match ctx.token {
+            Some(token) => {
+                ctx.pool
+                    .parallel_for_cancellable(sources.len(), ctx.config.schedule(), token, body)
+            }
+            None => {
+                ctx.pool
+                    .parallel_for(sources.len(), ctx.config.schedule(), body);
+                CancelStatus::Continue
+            }
+        }
+    }
+
+    /// Consumes a finished run: the store, the per-thread counters merged
+    /// (with the store's pinned high-water mark folded in), and each
+    /// thread's busy time.
+    fn into_results(self) -> (Store, Counters, Vec<Duration>) {
+        let store = self.store.expect("prepare() not called");
+        debug_assert_eq!(store.published_count(), store.n());
+        let mut counters = Counters::default();
+        let mut thread_busy = Vec::new();
+        for (_, c, busy, _) in self.locals.expect("prepare() not called").into_inner() {
+            counters.merge(&c);
+            thread_busy.push(busy);
+        }
+        counters.pinned_bytes_peak = counters.pinned_bytes_peak.max(store.pinned_bytes_peak());
+        (store, counters, thread_busy)
     }
 }
 
@@ -1111,7 +1301,10 @@ impl Engine for ApspEngine {
     type Output = ApspOutput;
 
     fn name(&self) -> &str {
-        "ParApsp"
+        match self.order {
+            OrderSource::Static => "ParApsp",
+            OrderSource::Adaptive { .. } => "ParAdaptive",
+        }
     }
 
     fn prepare(
@@ -1123,8 +1316,16 @@ impl Engine for ApspEngine {
     ) -> Plan {
         let n = graph.vertex_count();
         let degrees = degree::out_degrees(graph);
+        let adaptive = self.order != OrderSource::Static;
         let t_order = Instant::now();
-        let order = config.ordering().compute(&degrees, pool);
+        // The adaptive order picks its sources between waves; its units
+        // are the unpicked sources in index order, and only their count
+        // is used.
+        let order = if adaptive {
+            (0..n as u32).collect()
+        } else {
+            config.ordering().compute(&degrees, pool)
+        };
         let ordering = t_order.elapsed();
         debug_assert_eq!(order.len(), n);
 
@@ -1143,50 +1344,58 @@ impl Engine for ApspEngine {
             }
             None => (Store::new(n, config.store()), order),
         };
+        let credit_len = if adaptive { n } else { 0 };
         self.store = Some(store);
         self.locals = Some(PerThread::from_fn(pool.num_threads(), |_| {
-            (Workspace::new(n), Counters::default(), Duration::ZERO)
+            let credit = vec![0; credit_len];
+            (
+                Workspace::new(n),
+                Counters::default(),
+                Duration::ZERO,
+                credit,
+            )
         }));
         self.solver = Some(RowSolver::resolve(graph, config.kernel()));
+        if adaptive {
+            self.adaptive = Some(Adaptive {
+                degrees,
+                credit: vec![0; n],
+                remaining: units.clone(),
+            });
+        }
         Plan { units, ordering }
     }
 
     fn run_rows(&mut self, graph: &CsrGraph, units: &[u32], ctx: &RowsCtx<'_>) -> RowsOutcome {
-        let store = self.store.as_ref().expect("prepare() not called");
-        let locals = self.locals.as_ref().expect("prepare() not called");
-        let solver = self.solver.as_ref().expect("prepare() not called");
-        let kernel = ctx.config.kernel();
-        let trace = ctx.trace;
-        let journal = ctx.journal;
-        let body = |tid: usize, k: usize| {
-            let s = units[k];
-            // SAFETY: each pool thread touches only its own scratch slot.
-            let (ws, counters, busy) = unsafe { locals.get_mut(tid) };
-            let t0 = Instant::now();
-            // `units` is drawn from a permutation, so source `s` belongs to
-            // exactly this iteration — satisfying the unique-row-owner
-            // contract of the solvers (and of `Store::try_row_mut`).
-            solver.solve_row(graph, s, store, ws, kernel, counters, None);
-            journal_solved_row(journal, store, s, ws);
-            let elapsed = t0.elapsed();
-            *busy += elapsed;
-            if let Some(view) = trace {
-                // SAFETY: as above, the trace slot of `s` belongs
-                // exclusively to this iteration.
-                unsafe { view.write(s as usize, elapsed.as_nanos() as u64) };
-            }
+        let OrderSource::Adaptive {
+            credit_weight,
+            wave,
+        } = self.order
+        else {
+            return self.sweep(graph, units, ctx, false);
         };
-        match ctx.token {
-            Some(token) => {
-                ctx.pool
-                    .parallel_for_cancellable(units.len(), ctx.config.schedule(), token, body)
+        for batch in units.chunks(wave * ctx.pool.num_threads()) {
+            let adaptive = self.adaptive.as_mut().expect("prepare() not called");
+            let picked = adaptive.pick(batch.len(), credit_weight);
+            let status = self.sweep(graph, &picked, ctx, true);
+            // Fold the wave's per-thread credit into the ranking signal;
+            // the pool is idle between waves.
+            let global = &mut self.adaptive.as_mut().expect("prepare() not called").credit;
+            for (_, _, _, credit) in self
+                .locals
+                .as_mut()
+                .expect("prepare() not called")
+                .iter_mut()
+            {
+                for (global, local) in global.iter_mut().zip(credit) {
+                    *global += std::mem::take(local);
+                }
             }
-            None => {
-                ctx.pool
-                    .parallel_for(units.len(), ctx.config.schedule(), body);
-                CancelStatus::Continue
+            if status.is_stop() {
+                return status;
             }
         }
+        CancelStatus::Continue
     }
 
     fn snapshot(&self) -> Checkpoint {
@@ -1211,23 +1420,22 @@ impl Engine for ApspEngine {
     }
 
     fn visit_rows(&self, units: &[u32], visit: &mut dyn FnMut(u32, &[u32])) {
-        // Units are source vertices; a published row is final.
+        // Units are source vertices; a published row is final. (Adaptive
+        // units need not be the batch's sources, but a batch that solved
+        // a row journaled it, so this fallback only runs on empty ones.)
+        // `read_row_into` bypasses the hot-row cache, so the walk never
+        // evicts the kernel's rows.
         let store = self.store.as_ref().expect("prepare() not called");
-        visit_published(store, units.iter().copied(), visit);
+        let mut buf = vec![INF; store.n()];
+        for &s in units {
+            if store.read_row_into(s, &mut buf) {
+                visit(s, &buf);
+            }
+        }
     }
 
     fn finish(self, _graph: &CsrGraph, summary: RunSummary) -> ApspOutput {
-        let store = self.store.expect("prepare() not called");
-        debug_assert_eq!(store.published_count(), store.n());
-        let mut counters = Counters::default();
-        let mut thread_busy = Vec::with_capacity(summary.threads);
-        for (_, c, busy) in self.locals.expect("prepare() not called").into_inner() {
-            counters.merge(&c);
-            thread_busy.push(busy);
-        }
-        // The pinned high-water mark lives in the store's cache, not in
-        // any per-thread counter; fold it in before the store is consumed.
-        counters.pinned_bytes_peak = counters.pinned_bytes_peak.max(store.pinned_bytes_peak());
+        let (store, counters, thread_busy) = self.into_results();
         ApspOutput {
             dist: store.into_matrix(summary.threads),
             timings: summary.timings,
@@ -1235,232 +1443,6 @@ impl Engine for ApspEngine {
             threads: summary.threads,
             algorithm: summary.label,
             thread_busy,
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// SeqEngine — Peng's sequential family, collapsed
-// ---------------------------------------------------------------------------
-
-/// How a [`SeqEngine`] picks its next source.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SeqMode {
-    /// Follow the [`RunConfig`]'s ordering procedure (basic = identity,
-    /// optimized = selection sort, bucket = exact counting sort).
-    Ordered,
-    /// Peng's adaptive variant: after each SSSP run, vertices that relayed
-    /// shortest paths accumulate *intermediate credit*; the next source is
-    /// the unprocessed vertex maximizing `credit * credit_weight + degree`.
-    Adaptive {
-        /// Weight of accumulated credit against raw degree (0 degenerates
-        /// to the plain optimized algorithm).
-        credit_weight: u64,
-    },
-}
-
-/// The sequential engine: the whole `seq_*` family in one implementation,
-/// configured by [`SeqMode`] plus the [`RunConfig`] ordering. Always runs
-/// single-threaded (it ignores the pool for the sweep) and polls the
-/// cancel token before every source, so a poll budget of `K` completes
-/// exactly `K` rows.
-pub struct SeqEngine {
-    mode: SeqMode,
-    store: Option<Store>,
-    ws: Option<Workspace>,
-    solver: Option<RowSolver>,
-    counters: Counters,
-    busy: Duration,
-    /// Adaptive state: out-degrees, accumulated credit, processed flags.
-    degrees: Vec<u32>,
-    credit: Vec<u64>,
-    done: Vec<bool>,
-}
-
-impl SeqEngine {
-    /// An engine following the config's ordering procedure.
-    pub fn ordered() -> Self {
-        SeqEngine {
-            mode: SeqMode::Ordered,
-            store: None,
-            ws: None,
-            solver: None,
-            counters: Counters::default(),
-            busy: Duration::ZERO,
-            degrees: Vec::new(),
-            credit: Vec::new(),
-            done: Vec::new(),
-        }
-    }
-
-    /// Peng's adaptive variant with the given credit weight.
-    pub fn adaptive(credit_weight: u64) -> Self {
-        SeqEngine {
-            mode: SeqMode::Adaptive { credit_weight },
-            ..SeqEngine::ordered()
-        }
-    }
-
-    /// The engine's source-selection mode.
-    pub fn mode(&self) -> SeqMode {
-        self.mode
-    }
-}
-
-impl Engine for SeqEngine {
-    type Output = ApspOutput;
-
-    fn name(&self) -> &str {
-        match self.mode {
-            SeqMode::Ordered => "SeqEngine",
-            SeqMode::Adaptive { .. } => "SeqAdaptive",
-        }
-    }
-
-    fn prepare(
-        &mut self,
-        graph: &CsrGraph,
-        config: &RunConfig,
-        pool: &ThreadPool,
-        resume: Option<Checkpoint>,
-    ) -> Plan {
-        let n = graph.vertex_count();
-        let degrees = degree::out_degrees(graph);
-        let t_order = Instant::now();
-        let order = match self.mode {
-            SeqMode::Ordered => config.ordering().compute(&degrees, pool),
-            // Adaptive picks sources at run time; the plan only fixes how
-            // many remain.
-            SeqMode::Adaptive { .. } => (0..n as u32).collect(),
-        };
-        let ordering = t_order.elapsed();
-        let (store, units, done) = match resume {
-            Some(checkpoint) => {
-                let (dist, completed) = checkpoint.into_parts();
-                let units: Vec<u32> = order
-                    .iter()
-                    .copied()
-                    .filter(|&s| !completed[s as usize])
-                    .collect();
-                (
-                    Store::from_parts(dist, &completed, config.store()),
-                    units,
-                    completed,
-                )
-            }
-            None => (Store::new(n, config.store()), order, vec![false; n]),
-        };
-        self.store = Some(store);
-        self.ws = Some(Workspace::new(n));
-        self.solver = Some(RowSolver::resolve(graph, config.kernel()));
-        self.degrees = degrees;
-        self.credit = vec![0; n];
-        self.done = done;
-        Plan { units, ordering }
-    }
-
-    fn run_rows(&mut self, graph: &CsrGraph, units: &[u32], ctx: &RowsCtx<'_>) -> RowsOutcome {
-        let SeqEngine {
-            mode,
-            store,
-            ws,
-            solver,
-            counters,
-            busy,
-            degrees,
-            credit,
-            done,
-        } = self;
-        let mode = *mode;
-        let store = store.as_ref().expect("prepare() not called");
-        let ws = ws.as_mut().expect("prepare() not called");
-        let solver = solver.as_ref().expect("prepare() not called");
-        let kernel = ctx.config.kernel();
-        for &unit in units {
-            if let Some(token) = ctx.token {
-                let status = token.poll();
-                if status.is_stop() {
-                    return status;
-                }
-            }
-            let (s, feedback) = match mode {
-                SeqMode::Ordered => (unit, None),
-                SeqMode::Adaptive { credit_weight } => {
-                    // Argmax over unprocessed vertices; O(n) per pick,
-                    // dwarfed by the SSSP work it orders.
-                    let mut best: Option<(u64, u32)> = None;
-                    for v in 0..store.n() as u32 {
-                        if done[v as usize] {
-                            continue;
-                        }
-                        let score = credit[v as usize]
-                            .saturating_mul(credit_weight)
-                            .saturating_add(degrees[v as usize] as u64);
-                        if best.map(|(b, _)| score > b).unwrap_or(true) {
-                            best = Some((score, v));
-                        }
-                    }
-                    let (_, s) = best.expect("unprocessed vertex must exist");
-                    done[s as usize] = true;
-                    (s, Some(&mut credit[..]))
-                }
-            };
-            let t0 = Instant::now();
-            solver.solve_row(graph, s, store, ws, kernel, counters, feedback);
-            journal_solved_row(ctx.journal, store, s, ws);
-            let elapsed = t0.elapsed();
-            *busy += elapsed;
-            if let Some(view) = ctx.trace {
-                // SAFETY: this engine is single-threaded and `s` is
-                // processed exactly once.
-                unsafe { view.write(s as usize, elapsed.as_nanos() as u64) };
-            }
-        }
-        CancelStatus::Continue
-    }
-
-    fn snapshot(&self) -> Checkpoint {
-        let (dist, completed) = self
-            .store
-            .as_ref()
-            .expect("prepare() not called")
-            .snapshot();
-        Checkpoint::new(dist, completed)
-    }
-
-    fn into_snapshot(self) -> Checkpoint {
-        let (dist, completed) = self.store.expect("prepare() not called").into_parts(1);
-        Checkpoint::new(dist, completed)
-    }
-
-    fn visit_rows(&self, units: &[u32], visit: &mut dyn FnMut(u32, &[u32])) {
-        let store = self.store.as_ref().expect("prepare() not called");
-        match self.mode {
-            // Ordered units are source vertices.
-            SeqMode::Ordered => visit_published(store, units.iter().copied(), visit),
-            // Adaptive units are opaque step counters; the sources picked
-            // this batch are whatever is newly marked done. Scanning all
-            // of `done` is O(n) per batch and the `Runner` deduplicates.
-            SeqMode::Adaptive { .. } => visit_published(
-                store,
-                (0..store.n() as u32).filter(|&s| self.done[s as usize]),
-                visit,
-            ),
-        }
-    }
-
-    fn finish(self, _graph: &CsrGraph, summary: RunSummary) -> ApspOutput {
-        let store = self.store.expect("prepare() not called");
-        debug_assert_eq!(store.published_count(), store.n());
-        let mut counters = self.counters;
-        counters.pinned_bytes_peak = counters.pinned_bytes_peak.max(store.pinned_bytes_peak());
-        ApspOutput {
-            dist: store.into_matrix(summary.threads),
-            timings: summary.timings,
-            counters,
-            threads: 1,
-            algorithm: summary.label,
-            thread_busy: vec![self.busy],
         }
     }
 }
@@ -1538,18 +1520,7 @@ impl Engine for StoreApspEngine {
     }
 
     fn finish(self, _graph: &CsrGraph, summary: RunSummary) -> StoreRunOutput {
-        let store = self.inner.store.expect("prepare() not called");
-        debug_assert_eq!(store.published_count(), store.n());
-        let mut counters = Counters::default();
-        for (_, c, _) in self
-            .inner
-            .locals
-            .expect("prepare() not called")
-            .into_inner()
-        {
-            counters.merge(&c);
-        }
-        counters.pinned_bytes_peak = counters.pinned_bytes_peak.max(store.pinned_bytes_peak());
+        let (store, counters, _) = self.inner.into_results();
         StoreRunOutput {
             store,
             timings: summary.timings,
@@ -1621,8 +1592,52 @@ mod tests {
         }
         assert!(EngineKind::ParApsp.honours_schedule());
         assert!(EngineKind::ParAlg1.honours_schedule());
+        assert!(EngineKind::ParAdaptive.honours_schedule());
         assert!(!EngineKind::SeqBasic.honours_schedule());
         assert!(!EngineKind::BlockedFw.honours_schedule());
+        // The row-engine table and the capabilities agree, and the
+        // sequential kinds always run one thread.
+        for &kind in EngineKind::value_variants() {
+            let row = kind.row_engine(4, None);
+            assert_eq!(
+                row.is_some(),
+                kind.row_checkpoints(),
+                "{}",
+                kind.value_name()
+            );
+            assert_eq!(
+                row.is_some(),
+                kind.supports_store() && kind != EngineKind::Dist
+            );
+            if let Some((config, _)) = row {
+                assert_eq!(config.threads() == 4, kind.honours_schedule());
+            }
+            assert_eq!(kind.honours_cap(), kind.cancellable());
+        }
+        assert!(!EngineKind::Dijkstra.honours_cap());
+        assert!(EngineKind::ParAdaptive.adaptive() && !EngineKind::ParApsp.adaptive());
+    }
+
+    #[test]
+    #[should_panic(expected = "wave size")]
+    fn zero_wave_size_rejected() {
+        let _ = ApspEngine::adaptive_waves(1, 0);
+    }
+
+    /// The adaptive pick ranks by `credit · w + degree`, ties to the lower
+    /// index: a wave of one is Peng's argmax, a wider wave the top k.
+    #[test]
+    fn adaptive_pick_ranks_by_credit_then_degree_then_index() {
+        let mut adaptive = Adaptive {
+            degrees: vec![3, 5, 5, 1, 0],
+            credit: vec![0, 0, 0, 1, 0],
+            remaining: (0..5).collect(),
+        };
+        // Scores at w = 4: [3, 5, 5, 5, 0].
+        assert_eq!(adaptive.pick(1, 4), vec![1]);
+        assert_eq!(adaptive.pick(2, 4), vec![2, 3]);
+        assert_eq!(adaptive.pick(2, 4), vec![0, 4]);
+        assert!(adaptive.remaining.is_empty());
     }
 
     #[test]
@@ -1734,9 +1749,10 @@ mod tests {
     /// separate `--resume` artifact needed) and lands on the bit-identical
     /// final matrix, having recomputed only the missing rows. Swept over
     /// every store backend (mmap with a budget of a few rows) × {1, 2, 4}
-    /// threads, with the fsync policies rotated through the cells: row
-    /// owners journal at publish time, so the stopped run's ledger holds
-    /// exactly the rows its stop checkpoint holds.
+    /// threads × {par-apsp, par-adaptive}, with the fsync policies rotated
+    /// through the cells: row owners journal at publish time, so the
+    /// stopped run's ledger holds exactly the rows its stop checkpoint
+    /// holds.
     #[test]
     fn ledger_runs_resume_from_their_own_file_bit_identically() {
         const BUDGET: u64 = 20;
@@ -1756,44 +1772,53 @@ mod tests {
             for threads in [1, 2, 4] {
                 let fsync = FsyncPolicy::ALL[cell % FsyncPolicy::ALL.len()];
                 cell += 1;
-                let name = format!("{}-t{threads}-{}", store.label(), fsync.name());
-                let path = dir.join(format!("run-{name}.ledger"));
-                std::fs::remove_file(&path).ok();
-                let config = RunConfig::par_apsp(threads)
-                    .with_ordering(OrderingProcedure::Identity)
-                    .with_store(store.clone())
-                    .with_ledger(&path, EVERY)
-                    .with_fsync(fsync);
-                let token = CancelToken::with_poll_budget(BUDGET);
-                let outcome =
-                    Runner::new(config.clone()).run_with_token(ApspEngine::new(), &g, &token);
-                let stopped = outcome.into_checkpoint().expect("20 < 90 sources");
-                // The interrupted ledger replays to exactly the rows the
-                // stopped run published, every one of them exact.
-                let cp = persist::load_checkpoint(&path).unwrap();
-                assert_eq!(cp.completed(), stopped.completed(), "{name}");
-                if threads == 1 {
-                    assert_eq!(cp.completed_count() as u64, BUDGET, "{name}");
-                }
-                for s in (0..90u32).filter(|&s| cp.completed()[s as usize]) {
-                    assert_eq!(cp.matrix().row(s), reference.dist.row(s), "{name} row {s}");
-                }
+                for kind in [EngineKind::ParApsp, EngineKind::ParAdaptive] {
+                    let name = format!(
+                        "{}-{}-t{threads}-{}",
+                        kind.value_name(),
+                        store.label(),
+                        fsync.name()
+                    );
+                    let path = dir.join(format!("run-{name}.ledger"));
+                    std::fs::remove_file(&path).ok();
+                    let engine = || kind.row_engine(threads, None).unwrap();
+                    let config = engine()
+                        .0
+                        .with_ordering(OrderingProcedure::Identity)
+                        .with_store(store.clone())
+                        .with_ledger(&path, EVERY)
+                        .with_fsync(fsync);
+                    let token = CancelToken::with_poll_budget(BUDGET);
+                    let outcome =
+                        Runner::new(config.clone()).run_with_token(engine().1, &g, &token);
+                    let stopped = outcome.into_checkpoint().expect("20 < 90 sources");
+                    // The interrupted ledger replays to exactly the rows the
+                    // stopped run published, every one of them exact.
+                    let cp = persist::load_checkpoint(&path).unwrap();
+                    assert_eq!(cp.completed(), stopped.completed(), "{name}");
+                    if threads == 1 {
+                        assert_eq!(cp.completed_count() as u64, BUDGET, "{name}");
+                    }
+                    for s in (0..90u32).filter(|&s| cp.completed()[s as usize]) {
+                        assert_eq!(cp.matrix().row(s), reference.dist.row(s), "{name} row {s}");
+                    }
 
-                // Re-running against the same ledger resumes implicitly.
-                let resumed = Runner::new(config).run(ApspEngine::new(), &g);
-                assert_eq!(
-                    reference.dist.first_difference(&resumed.dist),
-                    None,
-                    "{name}"
-                );
-                let cp = persist::load_checkpoint(&path).unwrap();
-                assert!(cp.is_complete(), "{name}");
-                assert_eq!(
-                    cp.matrix().first_difference(&reference.dist),
-                    None,
-                    "{name}"
-                );
-                std::fs::remove_file(&path).ok();
+                    // Re-running against the same ledger resumes implicitly.
+                    let resumed = Runner::new(config).run(engine().1, &g);
+                    assert_eq!(
+                        reference.dist.first_difference(&resumed.dist),
+                        None,
+                        "{name}"
+                    );
+                    let cp = persist::load_checkpoint(&path).unwrap();
+                    assert!(cp.is_complete(), "{name}");
+                    assert_eq!(
+                        cp.matrix().first_difference(&reference.dist),
+                        None,
+                        "{name}"
+                    );
+                    std::fs::remove_file(&path).ok();
+                }
             }
         }
     }
@@ -1894,9 +1919,9 @@ mod tests {
         std::fs::remove_file(&path).ok();
     }
 
-    /// Every row-checkpointing engine — including the adaptive sequential
-    /// engine, whose work units are opaque counters, and the subset engine,
-    /// whose units are slot indices — produces a complete, exact ledger.
+    /// Every row-checkpointing engine — including the adaptive order,
+    /// which picks its sources at run time, and the subset engine, whose
+    /// units are slot indices — produces a complete, exact ledger.
     #[test]
     fn all_row_engines_fill_a_ledger_completely() {
         let dir = std::env::temp_dir().join("parapsp-engine-tests");

@@ -11,13 +11,16 @@
 //!
 //! * [`RunConfig::seq_basic`](engine::RunConfig::seq_basic) — Alg. 2: run
 //!   the kernel from every source in index order (drive a
-//!   [`SeqEngine`](engine::SeqEngine) with it).
+//!   [`SeqEngine`](engine::SeqEngine), the row engine at one thread, with
+//!   it).
 //! * [`RunConfig::seq_optimized`](engine::RunConfig::seq_optimized) —
 //!   Alg. 3: visit sources in descending degree order so hub rows are
 //!   reusable early (2–4× faster on scale-free graphs).
-//! * [`SeqEngine::adaptive`](engine::SeqEngine::adaptive) — Peng's
+//! * [`ApspEngine::adaptive`](engine::ApspEngine::adaptive) — Peng's
 //!   adaptive variant (reconstructed; the ICPP paper describes but does
-//!   not parallelize it).
+//!   not parallelize it), and
+//!   [`ApspEngine::adaptive_waves`](engine::ApspEngine::adaptive_waves),
+//!   its parallel extension that re-ranks the sources between waves.
 //! * [`RunConfig::par_apsp`](engine::RunConfig::par_apsp) and friends —
 //!   the parallel drivers: **ParAlg1**, **ParAlg2**, and the paper's
 //!   contribution **ParAPSP** (MultiLists ordering + dynamic-cyclic
@@ -44,7 +47,6 @@
 
 #![warn(missing_docs)]
 
-pub mod adaptive;
 pub mod baselines;
 pub mod blocked_fw;
 pub mod dist;

@@ -9,8 +9,8 @@
 //! produce identical bits.
 
 use parapsp::core::{
-    ApspEngine, BlockedFwEngine, DistanceMatrix, RunConfig, Runner, SeqEngine, SolverKind,
-    StoreSpec, SubsetEngine, INF,
+    ApspEngine, BlockedFwEngine, DistanceMatrix, EngineKind, RunConfig, Runner, SeqEngine,
+    SolverKind, StoreSpec, SubsetEngine, INF,
 };
 use parapsp::dist::{ClusterConfig, DistEngine};
 use parapsp::graph::generate::{
@@ -40,6 +40,17 @@ fn fixtures() -> Vec<(&'static str, CsrGraph)> {
         ("path", path_graph(55, Direction::Directed)),
         ("grid", grid_graph(7, 8)),
     ]
+}
+
+/// The `par-adaptive` cells: its wave-adaptive order at {1, 2, 4} threads.
+fn par_adaptive_cells() -> Vec<(String, RunConfig, ApspEngine)> {
+    [1, 2, 4]
+        .into_iter()
+        .map(|threads| {
+            let (config, engine) = EngineKind::ParAdaptive.row_engine(threads, None).unwrap();
+            (format!("par-adaptive(t={threads})"), config, engine)
+        })
+        .collect()
 }
 
 /// The expected value of cell `(u, v)` under `cap`: the exact distance,
@@ -116,6 +127,15 @@ fn every_engine_matches_seq_basic_on_every_fixture() {
                 assert_matrix(label, fixture, cap, &full, &out.dist);
             }
 
+            // The adaptive order in parallel waves: a different source
+            // order at every thread count, the same distances, every
+            // source solved once.
+            for (label, config, engine) in par_adaptive_cells() {
+                let out = Runner::new(with_cap(config)).run(engine, &graph);
+                assert_matrix(&label, fixture, cap, &full, &out.dist);
+                assert_eq!(out.counters.sources as usize, graph.vertex_count());
+            }
+
             // Blocked Floyd–Warshall (returns the matrix directly).
             let fw = Runner::new(with_cap(RunConfig::new(3))).run(BlockedFwEngine::new(16), &graph);
             assert_matrix("blocked-fw", fixture, cap, &full, &fw);
@@ -184,8 +204,9 @@ fn every_schedule_matches_seq_basic_on_every_fixture() {
 
 /// Solver axis: the per-source SSSP solver decides the *order* of
 /// relaxations inside one row, never the distances — every solver must be
-/// bit-identical to seq-basic on every fixture, through the parallel and
-/// sequential engines, uncapped and capped. `auto` resolves against each
+/// bit-identical to seq-basic on every fixture, through the parallel,
+/// sequential and adaptive configurations, uncapped and capped. `auto`
+/// resolves against each
 /// graph at engine prepare time, so this also proves that whatever the
 /// tuner picks passes the oracle.
 #[test]
@@ -243,6 +264,16 @@ fn every_solver_matches_seq_basic_on_every_fixture() {
                         &out.dist,
                     );
                 }
+                for (label, config, engine) in par_adaptive_cells() {
+                    let out = Runner::new(with_cap(config).with_solver(solver)).run(engine, &graph);
+                    assert_matrix(
+                        &format!("{label}[{}]", solver.label()),
+                        fixture,
+                        cap,
+                        &full,
+                        &out.dist,
+                    );
+                }
             }
         }
     }
@@ -251,8 +282,8 @@ fn every_solver_matches_seq_basic_on_every_fixture() {
 /// Store axis: the matrix storage backend decides *where* finished rows
 /// live — dense heap memory, landmark-delta compressed blocks, or
 /// out-of-core mmap shards — never what they contain. Every store must be
-/// bit-identical to seq-basic through the parallel, sequential, and
-/// distributed engines, uncapped and capped. The delta store runs with a
+/// bit-identical to seq-basic through the parallel, sequential, adaptive
+/// and distributed engines, uncapped and capped. The delta store runs with a
 /// deliberately tiny hot-row cache and the mmap stores with tiny decoded
 /// budgets so eviction/decode round trips are actually exercised; the
 /// `mmap-tiny` cell holds only ~15 decoded rows at these fixture sizes,
@@ -281,17 +312,27 @@ fn every_store_matches_seq_basic_on_every_fixture() {
                 None => config,
             };
             for (store_label, store) in &stores {
-                for (label, config) in [
-                    ("par-apsp", RunConfig::par_apsp(4)),
-                    ("seq-basic", RunConfig::seq_basic()),
-                    ("seq-optimized", RunConfig::seq_optimized(1.0)),
-                ] {
+                let mut cells = vec![
+                    (
+                        "par-apsp".to_string(),
+                        RunConfig::par_apsp(4),
+                        ApspEngine::new(),
+                    ),
+                    (
+                        "seq-basic".to_string(),
+                        RunConfig::seq_basic(),
+                        SeqEngine::ordered(),
+                    ),
+                    (
+                        "seq-optimized".to_string(),
+                        RunConfig::seq_optimized(1.0),
+                        SeqEngine::ordered(),
+                    ),
+                ];
+                cells.extend(par_adaptive_cells());
+                for (label, config, engine) in cells {
                     let config = with_cap(config).with_store(store.clone());
-                    let out = if label.starts_with("seq") {
-                        Runner::new(config).run(SeqEngine::ordered(), &graph)
-                    } else {
-                        Runner::new(config).run(ApspEngine::new(), &graph)
-                    };
+                    let out = Runner::new(config).run(engine, &graph);
                     assert_matrix(
                         &format!("{label}[{store_label}]"),
                         fixture,
