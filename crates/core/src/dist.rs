@@ -7,6 +7,48 @@
 
 use parapsp_graph::INF;
 
+/// Allocates `len` zeroed cells without writing any of them.
+///
+/// `vec![0; len]` is a zeroed (calloc) allocation: its pages are mapped
+/// lazily, so no serial pass faults them in, and each page is first
+/// touched by the thread that writes it (placing it on that thread's NUMA
+/// node). On Linux the 2 MiB-aligned interior is also advised
+/// `MADV_HUGEPAGE`, so a large matrix faults in as huge pages where the
+/// kernel allows it (THP `always` or `madvise`); a refused advice is
+/// ignored and the pages stay small.
+pub(crate) fn zeroed_cells(len: usize) -> Box<[u32]> {
+    let mut cells = vec![0u32; len].into_boxed_slice();
+    advise_huge_pages(&mut cells);
+    cells
+}
+
+#[cfg(target_os = "linux")]
+fn advise_huge_pages(cells: &mut [u32]) {
+    // Raw libc binding (the workspace deliberately has no libc crate
+    // dependency); the advice number is Linux's.
+    extern "C" {
+        fn madvise(addr: *mut u8, len: usize, advice: i32) -> i32;
+    }
+    const MADV_HUGEPAGE: i32 = 14;
+    // The huge-page size on x86-64 and 4 KiB-page arm64; also a multiple
+    // of every base page size, as `madvise` requires of `addr`.
+    const HUGE_PAGE: usize = 2 << 20;
+    let base = cells.as_mut_ptr().cast::<u8>();
+    let start = base as usize;
+    let end = start + std::mem::size_of_val(cells);
+    let lo = start.next_multiple_of(HUGE_PAGE);
+    let hi = end & !(HUGE_PAGE - 1);
+    if lo < hi {
+        // SAFETY: [lo, hi) lies inside `cells`, which this call borrows
+        // mutably; the advice changes how pages are backed, never their
+        // contents. A failure (EINVAL without THP) is deliberately ignored.
+        unsafe { madvise(base.add(lo - start), hi - lo, MADV_HUGEPAGE) };
+    }
+}
+
+#[cfg(not(target_os = "linux"))]
+fn advise_huge_pages(_cells: &mut [u32]) {}
+
 /// A row-major `n × n` matrix of shortest-path distances.
 ///
 /// `dist.get(u, v)` is the weight of the shortest `u → v` path, or
@@ -206,6 +248,17 @@ mod tests {
     #[should_panic(expected = "wrong length")]
     fn from_raw_validates_length() {
         let _ = DistanceMatrix::from_raw(2, vec![0u32; 3].into_boxed_slice());
+    }
+
+    #[test]
+    fn zeroed_cells_are_zero_at_every_length() {
+        // 0, 1, a non-page multiple, and one spanning several huge pages
+        // with an unaligned tail (the advised interior).
+        for len in [0, 1, 1_027, (5 << 20) / 4 + 3] {
+            let cells = zeroed_cells(len);
+            assert_eq!(cells.len(), len);
+            assert!(cells.iter().all(|&c| c == 0), "len {len}");
+        }
     }
 
     #[test]

@@ -1255,7 +1255,7 @@ impl ApspEngine {
             let t0 = Instant::now();
             // Every source is swept once per run, so source `s` belongs to
             // exactly this iteration — satisfying the unique-row-owner
-            // contract of the solvers (and of `Store::try_row_mut`).
+            // contract of the solvers (and of `Store::claim_row`).
             let credit = feedback.then_some(&mut credit[..]);
             solver.solve_row(graph, s, store, ws, kernel, counters, credit);
             journal_solved_row(journal, store, s, ws);
@@ -1404,19 +1404,20 @@ impl Engine for ApspEngine {
             .as_ref()
             .expect("prepare() not called")
             .snapshot();
-        Checkpoint::new(dist, completed)
+        Checkpoint::from_store_parts(dist, completed)
     }
 
     fn into_snapshot(self) -> Checkpoint {
         // Moves the store into the checkpoint — zero-copy for the dense
         // backend, a decode on every pool thread otherwise — instead of
-        // the default's full snapshot clone.
+        // the default's full snapshot clone. The teardown has already
+        // set every unfinished row to INF.
         let threads = self.locals.as_ref().map_or(1, PerThread::len);
         let (dist, completed) = self
             .store
             .expect("prepare() not called")
             .into_parts(threads);
-        Checkpoint::new(dist, completed)
+        Checkpoint::from_store_parts(dist, completed)
     }
 
     fn visit_rows(&self, units: &[u32], visit: &mut dyn FnMut(u32, &[u32])) {
@@ -1672,6 +1673,36 @@ mod tests {
         let resumed =
             Runner::new(RunConfig::seq_adaptive(10)).run_resumed(SeqEngine::adaptive(10), &g, cp);
         assert_eq!(full.dist.first_difference(&resumed.dist), None);
+    }
+
+    /// The dense matrix is born as zero pages and a row is reset to `INF`
+    /// only when its owner claims it, so a run stopped after its first
+    /// batch leaves most rows untouched zeros in the store. The stop
+    /// checkpoint must still hold an all-`INF` row for every unfinished
+    /// source, and resuming from it must land on seq-basic's matrix.
+    #[test]
+    fn stopped_dense_run_checkpoints_infinite_unfinished_rows_and_resumes() {
+        const EVERY: usize = 16;
+        let dir = std::env::temp_dir().join(format!("parapsp-first-touch-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let g = barabasi_albert(150, 3, WeightSpec::Uniform { lo: 1, hi: 9 }, 21).unwrap();
+        let n = g.vertex_count();
+        let config = RunConfig::par_apsp(2).with_checkpoint(dir.join("stop.ckpt"), EVERY);
+        assert_eq!(config.store().kind(), crate::store::StoreKind::Dense);
+        // One poll per row: the budget lets exactly the first batch run.
+        let token = CancelToken::with_poll_budget(EVERY as u64);
+        let outcome = Runner::new(config.clone()).run_with_token(ApspEngine::new(), &g, &token);
+        let cp = outcome.into_checkpoint().expect("stopped after one batch");
+        assert_eq!(cp.completed_count(), EVERY);
+        for s in (0..n as u32).filter(|&s| !cp.completed()[s as usize]) {
+            assert!(
+                cp.matrix().row(s).iter().all(|&d| d == INF),
+                "unfinished row {s} must be all INF"
+            );
+        }
+        let resumed = Runner::new(config).run_resumed(ApspEngine::new(), &g, cp);
+        assert_eq!(seq_basic(&g).dist.first_difference(&resumed.dist), None);
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     /// Satellite: `--checkpoint-every` boundaries must produce identical

@@ -87,8 +87,8 @@ pub(crate) struct Workspace {
     /// relaxation can push back into the slot being drained.
     pub(crate) scratch: Vec<u32>,
     /// Staging row for store backends that cannot lend in-place mutable
-    /// rows ([`Store::try_row_mut`] returns `None`): the solver computes
-    /// into this buffer and hands it over via [`Store::publish_from`].
+    /// rows: [`Store::claim_row`] hands it out reset, the solver computes
+    /// into it, and [`Store::publish_claimed`] hands it over.
     /// Allocated once per thread, like the rest of the workspace.
     pub(crate) row_buf: Vec<u32>,
     /// The owner's encoded run-ledger record ([`RowJournal::record`]);
@@ -190,17 +190,16 @@ impl BucketRing {
 /// # Safety contract (enforced by callers)
 ///
 /// The caller must guarantee that it is the unique task running source `s`
-/// (see [`Store::try_row_mut`]). Every APSP driver in this crate iterates
+/// (see [`Store::claim_row`]). Every APSP driver in this crate iterates
 /// a permutation of the sources, which provides that guarantee.
 ///
-/// On store backends that lend rows the solve happens in place; otherwise
-/// it is staged in `ws.row_buf` and handed over via
-/// [`Store::publish_from`]. Row reuse fires on *every* backend through
-/// [`Store::lease_row`]: dense rows are lent at zero cost, delta/mmap
-/// rows are pinned in the hot-row cache for the duration of the
-/// relaxation pass (decoding on a miss), and the queue-front
-/// [`Store::prefetch_row`] hint turns into a decode-ahead that hides that
-/// decode behind the current row's work.
+/// On the dense store the solve happens in place; otherwise it is staged
+/// in `ws.row_buf` and handed over on publication. Row reuse fires on
+/// *every* backend through [`Store::lease_row`]: dense rows are lent at
+/// zero cost, delta/mmap rows are pinned in the hot-row cache for the
+/// duration of the relaxation pass (decoding on a miss), and the
+/// queue-front [`Store::prefetch_row`] hint turns into a decode-ahead
+/// that hides that decode behind the current row's work.
 ///
 /// Optional `intermediate_credit`: incremented at `t` whenever expanding
 /// `t`'s edges improved some other vertex — the signal Peng's *adaptive*
@@ -220,14 +219,7 @@ pub(crate) fn modified_dijkstra(
 
     // SAFETY: the caller guarantees unique ownership of row `s` and that it
     // is unpublished; the borrow ends before publication below.
-    let (row, staged) = match unsafe { store.try_row_mut(s) } {
-        Some(row) => (row, false),
-        None => {
-            let buf = ws.row_buf.as_mut_slice();
-            buf.fill(INF);
-            (buf, true)
-        }
-    };
+    let (row, staged) = unsafe { store.claim_row(s, &mut ws.row_buf) };
     row[s as usize] = 0;
 
     ws.queue.push_back(s);
@@ -312,11 +304,7 @@ pub(crate) fn modified_dijkstra(
     counters.decode_ahead_hits += decode_ahead_hits;
     counters.sources += 1;
     // Alg. 1 line 21: flag[s] = 1 — i.e. publish the completed row.
-    if staged {
-        store.publish_from(s, row);
-    } else {
-        store.publish(s);
-    }
+    store.publish_claimed(s, row, staged);
 
     if !options.dedup_queue {
         // Without the guard the bitmap was never written, nothing to clean.

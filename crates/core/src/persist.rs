@@ -253,6 +253,22 @@ impl Checkpoint {
         Checkpoint { dist, completed }
     }
 
+    /// [`Checkpoint::new`] for a matrix whose incomplete rows are already
+    /// all-[`INF`] — a [`Store`](crate::store::Store) snapshot or teardown
+    /// — without a second pass over them.
+    pub(crate) fn from_store_parts(dist: DistanceMatrix, completed: Vec<bool>) -> Self {
+        assert_eq!(
+            completed.len(),
+            dist.n(),
+            "one completed flag per source row"
+        );
+        debug_assert!(
+            (0..dist.n()).all(|s| completed[s] || dist.row(s as u32).iter().all(|&d| d == INF)),
+            "store handed out an incomplete row that is not all INF"
+        );
+        Checkpoint { dist, completed }
+    }
+
     /// A checkpoint in which every row is final (a finished run).
     pub fn complete(dist: DistanceMatrix) -> Self {
         let completed = vec![true; dist.n()];

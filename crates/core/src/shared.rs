@@ -30,7 +30,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 
 use parapsp_graph::INF;
 
-use crate::dist::DistanceMatrix;
+use crate::dist::{zeroed_cells, DistanceMatrix};
 
 /// An `n × n` distance matrix shared across SSSP tasks, with one
 /// publication flag per row.
@@ -47,40 +47,39 @@ pub(crate) struct SharedDistState {
 unsafe impl Sync for SharedDistState {}
 
 impl SharedDistState {
-    /// Allocates the matrix, filled with [`INF`], all rows unpublished.
+    /// Allocates the matrix, all rows unpublished. The cells are born as
+    /// untouched zero pages ([`zeroed_cells`]), not [`INF`]: a row's owner
+    /// resets it when it claims the row
+    /// ([`Store::claim_row`](crate::store::Store::claim_row)), and
+    /// [`SharedDistState::into_parts`] sets every row never published to
+    /// `INF`, so a zero row is never read or handed out.
     pub(crate) fn new(n: usize) -> Self {
         let len = n.checked_mul(n).expect("distance matrix size overflow");
-        // Build as a plain Vec<u32> (memset-fast) and convert: UnsafeCell<T>
-        // is repr(transparent) over T, so the layouts are identical.
-        let plain: Box<[u32]> = vec![INF; len].into_boxed_slice();
-        // SAFETY: Box<[u32]> and Box<[UnsafeCell<u32>]> have the same
-        // layout (repr(transparent)), and ownership transfers intact.
-        let cells: Box<[UnsafeCell<u32>]> =
-            unsafe { Box::from_raw(Box::into_raw(plain) as *mut [UnsafeCell<u32>]) };
-        let flags: Box<[AtomicBool]> = (0..n).map(|_| AtomicBool::new(false)).collect();
-        SharedDistState { n, cells, flags }
+        let flags = (0..n).map(|_| AtomicBool::new(false)).collect();
+        SharedDistState::from_plain(n, zeroed_cells(len), flags)
     }
 
     /// Builds the state from a partially computed matrix: rows flagged in
     /// `completed` are pre-published (they are final — resumed kernels may
-    /// reuse them immediately), the rest are reset to [`INF`] so their
-    /// future owners find the untouched state the kernel contract expects.
+    /// reuse them immediately). The rest keep whatever they hold, like the
+    /// zero rows of [`SharedDistState::new`]: their owners reset them at
+    /// claim, and teardown sets any still unpublished to [`INF`].
     pub(crate) fn from_parts(dist: DistanceMatrix, completed: &[bool]) -> Self {
         let n = dist.n();
         assert_eq!(completed.len(), n, "one completed flag per row");
-        let mut plain: Box<[u32]> = dist.into_raw();
-        for (s, &done) in completed.iter().enumerate() {
-            if !done {
-                plain[s * n..(s + 1) * n].fill(INF);
-            }
-        }
-        // SAFETY: same repr(transparent) cast as in `new`.
-        let cells: Box<[UnsafeCell<u32>]> =
-            unsafe { Box::from_raw(Box::into_raw(plain) as *mut [UnsafeCell<u32>]) };
-        let flags: Box<[AtomicBool]> = completed
+        let flags = completed
             .iter()
             .map(|&done| AtomicBool::new(done))
             .collect();
+        SharedDistState::from_plain(n, dist.into_raw(), flags)
+    }
+
+    fn from_plain(n: usize, plain: Box<[u32]>, flags: Box<[AtomicBool]>) -> Self {
+        // SAFETY: UnsafeCell<T> is repr(transparent) over T, so
+        // Box<[u32]> and Box<[UnsafeCell<u32>]> have the same layout, and
+        // ownership transfers intact.
+        let cells: Box<[UnsafeCell<u32>]> =
+            unsafe { Box::from_raw(Box::into_raw(plain) as *mut [UnsafeCell<u32>]) };
         SharedDistState { n, cells, flags }
     }
 
@@ -166,25 +165,37 @@ impl SharedDistState {
             .count()
     }
 
-    /// Consumes the state, yielding the final matrix. Intended to be called
-    /// after all rows are published (single ownership again).
+    /// Consumes the state, yielding the matrix with every unpublished row
+    /// set to [`INF`] (see [`SharedDistState::into_parts`]).
+    #[cfg(test)]
     pub(crate) fn into_matrix(self) -> DistanceMatrix {
-        let n = self.n;
-        // SAFETY: inverse of the cast in `new`; same layout, sole owner.
-        let plain: Box<[u32]> = unsafe { Box::from_raw(Box::into_raw(self.cells) as *mut [u32]) };
-        DistanceMatrix::from_raw(n, plain)
+        self.into_parts().0
     }
 
     /// Consumes the state, yielding the matrix **and** the publication
     /// flags — [`SharedDistState::snapshot`] without the O(n²) clone, for
-    /// stop paths that own the state and will not touch it again.
+    /// the finish of a complete run and for stop paths that own the state
+    /// and will not touch it again. Every unpublished row (born zero,
+    /// claimed and abandoned, or left over from a resume) comes out
+    /// [`INF`]; after a complete run this is a flag scan that writes
+    /// nothing.
     pub(crate) fn into_parts(self) -> (DistanceMatrix, Vec<bool>) {
+        let n = self.n;
         let completed: Vec<bool> = self
             .flags
             .iter()
             .map(|f| f.load(Ordering::Acquire))
             .collect();
-        (self.into_matrix(), completed)
+        // SAFETY: inverse of the cast in `from_plain`; same layout, sole
+        // owner.
+        let mut plain: Box<[u32]> =
+            unsafe { Box::from_raw(Box::into_raw(self.cells) as *mut [u32]) };
+        for (s, &done) in completed.iter().enumerate() {
+            if !done {
+                plain[s * n..(s + 1) * n].fill(INF);
+            }
+        }
+        (DistanceMatrix::from_raw(n, plain), completed)
     }
 }
 

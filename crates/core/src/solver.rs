@@ -561,14 +561,7 @@ fn delta_row(
 
     // SAFETY: the caller guarantees unique ownership of row `s` and that
     // it is unpublished; the borrow ends before publication below.
-    let (row, staged) = match unsafe { store.try_row_mut(s) } {
-        Some(row) => (row, false),
-        None => {
-            let buf = ws.row_buf.as_mut_slice();
-            buf.fill(parapsp_graph::INF);
-            (buf, true)
-        }
-    };
+    let (row, staged) = unsafe { store.claim_row(s, &mut ws.row_buf) };
     row[s as usize] = 0;
 
     let cap = options.max_distance.unwrap_or(u32::MAX);
@@ -691,11 +684,7 @@ fn delta_row(
     counters.lease_misses += lease_misses;
     counters.decode_ahead_hits += decode_ahead_hits;
     counters.sources += 1;
-    if staged {
-        store.publish_from(s, row);
-    } else {
-        store.publish(s);
-    }
+    store.publish_claimed(s, row, staged);
 }
 
 // ---------------------------------------------------------------------------
@@ -730,14 +719,7 @@ fn stepping_row(
     let delta = solver.delta as u64;
 
     // SAFETY: as in `delta_row`.
-    let (row, staged) = match unsafe { store.try_row_mut(s) } {
-        Some(row) => (row, false),
-        None => {
-            let buf = ws.row_buf.as_mut_slice();
-            buf.fill(parapsp_graph::INF);
-            (buf, true)
-        }
-    };
+    let (row, staged) = unsafe { store.claim_row(s, &mut ws.row_buf) };
     row[s as usize] = 0;
 
     let cap = options.max_distance.unwrap_or(u32::MAX);
@@ -817,11 +799,7 @@ fn stepping_row(
     counters.queue_pops += queue_pops;
     counters.relaxations += relaxations;
     counters.sources += 1;
-    if staged {
-        store.publish_from(s, row);
-    } else {
-        store.publish(s);
-    }
+    store.publish_claimed(s, row, staged);
 }
 
 #[cfg(test)]

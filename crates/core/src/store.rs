@@ -79,7 +79,7 @@ use std::thread::JoinHandle;
 use parapsp_graph::INF;
 use parapsp_parfor::spec;
 
-use crate::dist::DistanceMatrix;
+use crate::dist::{zeroed_cells, DistanceMatrix};
 use crate::shared::SharedDistState;
 
 // ---------------------------------------------------------------------------
@@ -383,9 +383,9 @@ impl Drop for RowLease<'_> {
 /// and read access behind a single type, with the backend chosen by a
 /// [`StoreSpec`].
 ///
-/// Writers compute a row into ordinary `&mut [u32]` scratch — in place
-/// when the backend lends mutable rows ([`Store::try_row_mut`]), staged in
-/// a caller buffer otherwise — and publish it exactly once. Readers use
+/// Writers claim a row ([`Store::claim_row`]) as ordinary `&mut [u32]`
+/// scratch reset to `INF` — in place on dense, staged in a caller buffer
+/// otherwise — and publish it exactly once. Readers use
 /// [`Store::lease_row`] for the kernel's row-reuse hot path (every
 /// backend), [`Store::with_row`] / [`Store::read_row_into`] for
 /// point/bulk reads. Dispatch is a concrete enum match, not a vtable, so
@@ -469,32 +469,43 @@ impl Store {
         }
     }
 
-    /// Exclusive in-place access to unpublished row `s`, on backends that
-    /// support it (dense). `None` means the caller must stage the row in
-    /// its own scratch and hand it over via [`Store::publish_from`].
+    /// Claims unpublished row `s` for its owner and returns it reset to
+    /// [`INF`]: in place on dense, staged in the caller's `row_buf` on
+    /// every other backend. The flag says whether the row is staged; pass
+    /// it back to [`Store::publish_claimed`].
+    ///
+    /// The reset is what lets the dense matrix be born as untouched zero
+    /// pages: each row is first written here, by the thread that solves
+    /// it, and teardown turns every row never published into `INF`
+    /// (DESIGN.md §9).
     ///
     /// # Safety
     ///
     /// The caller must be the unique owner of row `s` (no other live
-    /// `try_row_mut(s)` anywhere, `s` not yet published) — the same
-    /// contract as `SharedDistState::row_mut`.
+    /// claim of `s` anywhere, `s` not yet published) — the same contract
+    /// as `SharedDistState::row_mut`.
     #[allow(clippy::mut_from_ref)]
     #[inline]
-    pub unsafe fn try_row_mut(&self, s: u32) -> Option<&mut [u32]> {
-        match &self.inner {
+    pub unsafe fn claim_row<'a>(&'a self, s: u32, row_buf: &'a mut [u32]) -> (&'a mut [u32], bool) {
+        let (row, staged) = match &self.inner {
             // SAFETY: forwarded caller contract.
-            Inner::Dense(state) => Some(unsafe { state.row_mut(s) }),
-            _ => None,
-        }
+            Inner::Dense(state) => (unsafe { state.row_mut(s) }, false),
+            _ => (row_buf, true),
+        };
+        debug_assert_eq!(row.len(), self.n(), "row length mismatch");
+        row.fill(INF);
+        (row, staged)
     }
 
-    /// Publishes row `s` written in place through [`Store::try_row_mut`].
-    /// Only meaningful on lending backends.
+    /// Publishes row `s` solved into the slice [`Store::claim_row`]
+    /// returned, with the `staged` flag it returned: an in-place row only
+    /// needs its flag stored, a staged one is handed over through
+    /// [`Store::publish_from`].
     #[inline]
-    pub fn publish(&self, s: u32) {
+    pub fn publish_claimed(&self, s: u32, row: &[u32], staged: bool) {
         match &self.inner {
-            Inner::Dense(state) => state.publish(s),
-            _ => unreachable!("publish() without try_row_mut(); use publish_from"),
+            Inner::Dense(state) if !staged => state.publish(s),
+            _ => self.publish_from(s, row),
         }
     }
 
@@ -643,9 +654,9 @@ impl Store {
     /// bypass the hot-row cache; unpublished rows come out infinite.
     fn decode_all(&self, threads: usize) -> (DistanceMatrix, Vec<bool>) {
         let n = self.n();
-        // `vec![0; len]` is a zeroed (calloc) allocation: its pages are
-        // not touched until a decoding thread writes them.
-        let mut data = vec![0u32; n.checked_mul(n).expect("matrix size overflow")];
+        // Zeroed and untouched: each page is first written by the thread
+        // that decodes into it.
+        let mut data = zeroed_cells(n.checked_mul(n).expect("matrix size overflow"));
         let mut completed = vec![false; n];
         if n > 0 {
             let chunks = Mutex::new(
@@ -679,10 +690,7 @@ impl Store {
                 decode();
             });
         }
-        (
-            DistanceMatrix::from_raw(n, data.into_boxed_slice()),
-            completed,
-        )
+        (DistanceMatrix::from_raw(n, data), completed)
     }
 
     /// Bytes of published-row payload this store holds: resident matrix
@@ -1737,17 +1745,19 @@ mod tests {
     #[test]
     fn staged_kernel_writes_match_in_place_dense_writes() {
         // The dense backend accepts both the in-place protocol
-        // (try_row_mut + publish) and the staged one (publish_from);
+        // (claim_row + publish_claimed) and the staged one (publish_from);
         // both must yield the same bytes.
         let n = 16;
         let rows = fixture_rows(n, 7);
         let in_place = Store::new(n, &StoreSpec::dense());
         let staged = Store::new(n, &StoreSpec::dense());
+        let mut row_buf = vec![0; n];
         for (s, row) in rows.iter().enumerate() {
             // SAFETY: single-threaded test, unique owner of each row.
-            let slot = unsafe { in_place.try_row_mut(s as u32) }.expect("dense lends rows");
+            let (slot, was_staged) = unsafe { in_place.claim_row(s as u32, &mut row_buf) };
+            assert!(!was_staged, "dense lends rows");
             slot.copy_from_slice(row);
-            in_place.publish(s as u32);
+            in_place.publish_claimed(s as u32, slot, was_staged);
             staged.publish_from(s as u32, row);
         }
         assert_eq!(
@@ -1794,12 +1804,10 @@ mod tests {
             drop(lease);
             // Mutable in-place access stays a dense-only capability.
             let dense = spec.kind() == StoreKind::Dense;
-            assert_eq!(
-                unsafe { store.try_row_mut(1) }.is_some(),
-                dense,
-                "{}",
-                spec.label()
-            );
+            let mut row_buf = vec![0; n];
+            // SAFETY: single-threaded test, unique owner of unpublished row 1.
+            let (_, staged) = unsafe { store.claim_row(1, &mut row_buf) };
+            assert_eq!(!staged, dense, "{}", spec.label());
             assert_eq!(store.published_row(0).is_some(), dense, "{}", spec.label());
         }
     }
@@ -1932,6 +1940,53 @@ mod tests {
         // Dropping the leases after the poison must not double-panic.
         drop(a);
         drop(b);
+    }
+
+    /// Dense rows are born zero and reset only at claim, so teardown is
+    /// what keeps a stopped run's matrix honest: a row claimed, written
+    /// with garbage and never published — like one never claimed at all —
+    /// must come out all-`INF` from every exit, with its flag clear.
+    #[test]
+    fn claimed_but_unpublished_rows_come_out_infinite() {
+        let n = 6;
+        let rows = fixture_rows(n, 31);
+        let build = |spec: &StoreSpec| {
+            let store = Store::new(n, spec);
+            let mut row_buf = vec![0; n];
+            for s in [0u32, 3] {
+                // SAFETY: single-threaded test, unique owner of each row.
+                let (row, staged) = unsafe { store.claim_row(s, &mut row_buf) };
+                assert!(row.iter().all(|&d| d == INF), "claim resets row {s}");
+                row.copy_from_slice(&rows[s as usize]);
+                store.publish_claimed(s, row, staged);
+            }
+            // SAFETY: as above; row 4 is claimed and abandoned.
+            let (row, _) = unsafe { store.claim_row(4, &mut row_buf) };
+            row.fill(0xDEAD);
+            store
+        };
+        let expected = |matrix: &DistanceMatrix, flags: &[bool], label: &str| {
+            assert_eq!(flags, [true, false, false, true, false, false], "{label}");
+            for s in 0..n as u32 {
+                let want: &[u32] = if flags[s as usize] {
+                    &rows[s as usize]
+                } else {
+                    &[INF; 6]
+                };
+                assert_eq!(matrix.row(s), want, "{label}: row {s}");
+            }
+        };
+        for spec in all_specs() {
+            let label = spec.label();
+            let store = build(&spec);
+            let (snap, flags) = store.snapshot();
+            expected(&snap, &flags, &format!("{label} snapshot"));
+            let (matrix, flags) = store.into_parts(2);
+            expected(&matrix, &flags, &format!("{label} into_parts"));
+            let matrix = build(&spec).into_matrix(2);
+            let flags: Vec<bool> = (0..n).map(|s| s == 0 || s == 3).collect();
+            expected(&matrix, &flags, &format!("{label} into_matrix"));
+        }
     }
 
     #[test]

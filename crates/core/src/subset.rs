@@ -32,7 +32,7 @@ use parapsp_order::seq_bucket::seq_bucket_sort;
 use parapsp_order::OrderingProcedure;
 use parapsp_parfor::{BitSet, CancelStatus, PerThread, ThreadPool};
 
-use crate::dist::DistanceMatrix;
+use crate::dist::{zeroed_cells, DistanceMatrix};
 use crate::engine::{Engine, Plan, RowsCtx, RowsOutcome, RunConfig, RunSummary};
 use crate::persist::Checkpoint;
 use crate::relax::relax_row;
@@ -101,8 +101,10 @@ impl SubsetState {
             );
             slot_of[s as usize] = slot as u32;
         }
+        // Rows are born zero and reset by their owners at claim, as in the
+        // full matrix (`SharedDistState::new`).
         let len = sources.len().checked_mul(n).expect("subset size overflow");
-        let plain: Box<[u32]> = vec![INF; len].into_boxed_slice();
+        let plain = zeroed_cells(len);
         // SAFETY: UnsafeCell<u32> is repr(transparent) over u32.
         let cells = unsafe { Box::from_raw(Box::into_raw(plain) as *mut [UnsafeCell<u32>]) };
         SubsetState {
@@ -257,6 +259,7 @@ impl Engine for SubsetEngine {
             // SAFETY: `units` is drawn from a permutation of slots, so this
             // task is the unique owner of `slot`.
             let row = unsafe { state.row_mut(slot) };
+            row.fill(INF);
             row[s as usize] = 0;
             queue.push_back(s);
             in_queue.set(s as usize);
@@ -324,8 +327,16 @@ impl Engine for SubsetEngine {
 
     fn finish(self, _graph: &CsrGraph, summary: RunSummary) -> SubsetRows {
         let state = self.state.expect("prepare() not called");
-        // SAFETY: all rows published; single ownership again.
-        let data: Box<[u32]> = unsafe { Box::from_raw(Box::into_raw(state.cells) as *mut [u32]) };
+        // SAFETY: no row owner is left; single ownership again.
+        let mut data: Box<[u32]> =
+            unsafe { Box::from_raw(Box::into_raw(state.cells) as *mut [u32]) };
+        // A flag scan after a complete run: only a slot never published
+        // (still zero from `SubsetState::new`) is written.
+        for (slot, flag) in state.flags.iter().enumerate() {
+            if !flag.load(Ordering::Acquire) {
+                data[slot * state.n..(slot + 1) * state.n].fill(INF);
+            }
+        }
         SubsetRows {
             n: state.n,
             sources: self.sources,
