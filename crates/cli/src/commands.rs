@@ -12,7 +12,9 @@ use parapsp_core::engine::{
 };
 use parapsp_core::paths::par_apsp_with_paths;
 use parapsp_core::persist::{self, Checkpoint};
-use parapsp_core::{autotune, DistanceMatrix, RelaxImpl, RunOutcome, SolverKind};
+use parapsp_core::{
+    autotune, DistanceMatrix, FsyncPolicy, RelaxImpl, RowLedger, RunOutcome, SolverKind,
+};
 use parapsp_dist::{
     run_worker, BindSpec, ClusterConfig, DistEngine, FaultPlan, LedgerSpec, SocketConfig,
     SourcePartition, TransportSpec, WorkerMode, WorkerOptions, WorkerOutcome,
@@ -110,9 +112,8 @@ apsp options:
   --solver <s>               per-source SSSP solver: dijkstra (default; the
                              paper's modified Dijkstra) | delta[:<width>]
                              (Δ-stepping, width from the mean weight when
-                             omitted) | stepping (bucket-fusion spans) |
-                             auto (probe the graph, pick solver + Δ, and
-                             fill unset --schedule/--relax); same
+                             omitted) | auto (probe the graph, pick solver
+                             + Δ, and fill unset --schedule/--relax); same
                              algorithms as --relax; distances are
                              bit-identical under every solver
   --schedule <s>             source-sweep loop schedule for par-apsp |
@@ -133,27 +134,29 @@ apsp options:
                              every backend
   --out <file>               save the distance matrix (.tsv/.txt = text,
                              anything else = compact binary)
-  --checkpoint <file>        write completed rows to <file> periodically
-                             (the par-* and seq-* row engines)
-  --checkpoint-every <K>     rows between checkpoint writes (default: 64)
-  --resume <file>            load a checkpoint OR a run ledger and compute
-                             only the missing rows (row engines and dist)
-  --ledger <file>            journal every completed row to a crash-safe
-                             append-only ledger: O(row) incremental
-                             durability instead of the checkpoint's O(n²)
-                             rewrite; restartable with --resume <file>
-                             (row engines and dist; excludes --checkpoint)
+  --checkpoint <file>        journal every completed row to <file>, a
+                             crash-safe append-only run ledger (O(row)
+                             bytes and one checksum per row); an existing
+                             ledger of this size there resumes the run;
+                             an older v1/v2 file there is refused, carry
+                             its rows over with --resume <old>
+                             --checkpoint <new> (row engines and dist)
+  --ledger <file>            another spelling of --checkpoint (give one)
+  --checkpoint-every <K>     rows between ledger commits (default: 64)
   --ledger-fsync <policy>    when ledger appends reach the disk: always |
                              commit (default) | never
+  --resume <file>            load a run ledger or an old v1/v2 checkpoint
+                             and compute only the missing rows (row
+                             engines and dist)
   --deadline <secs>          stop once the wall-clock budget expires,
-                             write a checkpoint, exit 124
+                             keep the completed rows in a ledger, exit 124
   --on-interrupt <mode>      checkpoint (default): SIGINT/SIGTERM stop at
-                             a row boundary, write a checkpoint, exit 130;
-                             abort: die immediately (OS default)
-                             (cancellable: everything except
-                             floyd-warshall, dijkstra; the stop checkpoint
-                             goes to --checkpoint's path or
-                             <file>.interrupt.ckpt)
+                             a row boundary, keep the completed rows in a
+                             ledger, exit 130; abort: die immediately (OS
+                             default) (cancellable: everything except
+                             floyd-warshall, dijkstra; the rows are in
+                             --checkpoint's ledger, or written to a new
+                             ledger at <file>.interrupt.ckpt)
 
 dist transport (default: in-process channels):
   --transport <t>            channel | tcp | unix — tcp/unix run the
@@ -520,38 +523,48 @@ fn cancellation_setup(
     Ok(Some((token, checkpoint_on_interrupt)))
 }
 
-/// Writes the stop checkpoint and reports how to resume. The checkpoint
-/// lands on `--checkpoint`'s path when given (the periodic and final
-/// checkpoints are the same format) or `<graph-file>.interrupt.ckpt`.
-/// A `--ledger` run skips the rewrite entirely — every completed row is
-/// already durable in the ledger, and a v2 file on the same path would
-/// clobber it.
+/// The run ledger's path: `--checkpoint` and `--ledger` are two spellings
+/// of one option, resolved here and nowhere else.
+fn ledger_path(args: &Args) -> Result<Option<&str>, String> {
+    match (args.get("checkpoint"), args.get("ledger")) {
+        (Some(_), Some(_)) => {
+            Err("--checkpoint and --ledger are two spellings of one option; give one".into())
+        }
+        (checkpoint, ledger) => Ok(checkpoint.or(ledger)),
+    }
+}
+
+/// Makes a stopped run's completed rows durable and reports how to
+/// resume. A run with a `ledger` has journaled every one of them there
+/// already; any other run writes them now to a fresh ledger at
+/// `<graph-file>.interrupt.ckpt`, one record per completed row.
 fn write_stop_checkpoint(
     args: &Args,
+    ledger: Option<&str>,
     checkpoint: &Checkpoint,
     why: &str,
     code: i32,
 ) -> Result<RunStatus, CliError> {
-    if let Some(path) = args.get("ledger") {
+    let (done, n) = (checkpoint.completed_count(), checkpoint.n());
+    if let Some(path) = ledger {
         eprintln!(
-            "{why}: {} of {} rows already durable in the ledger \
-             (resume with --resume {path} --ledger {path})",
-            checkpoint.completed_count(),
-            checkpoint.n()
+            "{why}: {done} of {n} rows already durable in the ledger {path} \
+             (resume with --resume {path} --checkpoint {path})"
         );
         return Ok(RunStatus::Stopped { code });
     }
-    let path = match args.get("checkpoint") {
-        Some(p) => p.to_string(),
-        None => format!("{}.interrupt.ckpt", args.positional(0).unwrap_or("apsp")),
+    let path = format!("{}.interrupt.ckpt", args.positional(0).unwrap_or("apsp"));
+    let write = || -> Result<(), persist::PersistError> {
+        let mut stop = RowLedger::create(&path, n, FsyncPolicy::default())?;
+        for s in (0..n as u32).filter(|&s| checkpoint.completed()[s as usize]) {
+            stop.append(s, checkpoint.matrix().row(s))?;
+        }
+        stop.finish()
     };
-    persist::save_checkpoint(checkpoint, &path)
-        .map_err(|e| CliError::failure(format!("writing stop checkpoint {path}: {e}")))?;
+    write().map_err(|e| CliError::failure(format!("writing stop checkpoint {path}: {e}")))?;
     eprintln!(
-        "{why}: {} of {} rows complete; checkpoint written to {path} \
-         (resume with --resume {path})",
-        checkpoint.completed_count(),
-        checkpoint.n()
+        "{why}: {done} of {n} rows complete; checkpoint written to {path} \
+         (resume with --resume {path})"
     );
     Ok(RunStatus::Stopped { code })
 }
@@ -579,13 +592,15 @@ fn load_resume(args: &Args, graph: &CsrGraph) -> Result<Option<Checkpoint>, Stri
 }
 
 /// Drives `engine` through the [`Runner`], from `--resume`'s checkpoint
-/// when given, with or without a cancel token. A stopped run writes its
-/// stop checkpoint and comes back as `Err` with the exit status.
+/// when given, with or without a cancel token. A stopped run makes its
+/// rows durable (see [`write_stop_checkpoint`]) and comes back as `Err`
+/// with the exit status.
 fn drive<E: Engine>(
     runner: &Runner,
     engine: E,
     graph: &CsrGraph,
     args: &Args,
+    ledger: Option<&str>,
     token: Option<&CancelToken>,
 ) -> Result<Result<E::Output, RunStatus>, CliError> {
     let outcome = match (token, load_resume(args, graph)?) {
@@ -599,7 +614,7 @@ fn drive<E: Engine>(
         RunOutcome::Cancelled { checkpoint } => (checkpoint, "interrupted", 130),
         RunOutcome::DeadlineExceeded { checkpoint } => (checkpoint, "deadline exceeded", 124),
     };
-    write_stop_checkpoint(args, &checkpoint, why, code).map(Err)
+    write_stop_checkpoint(args, ledger, &checkpoint, why, code).map(Err)
 }
 
 fn run_algorithm(
@@ -638,30 +653,29 @@ fn run_algorithm(
     reject("block", |kind| kind == EngineKind::BlockedFw)?;
     // Row-relaxation implementation (the vectorized kernel ablation switch).
     let relax = args.get_enum("relax", RelaxImpl::Auto)?;
-    // Periodic checkpoints, the run ledger, and --resume need rows that
-    // are final mid-run; the dist driver gathers exactly such rows, so it
-    // joins the row engines for the ledger and resume (but not for the
-    // periodic full rewrite). --relax needs the modified-Dijkstra kernel.
-    let row_durable = kind.row_checkpoints() || kind == EngineKind::Dist;
-    reject("checkpoint", EngineKind::row_checkpoints)?;
-    if (args.get("ledger").is_some() || args.get("resume").is_some()) && !row_durable {
+    // The run ledger and --resume need rows that are final mid-run; the
+    // dist driver gathers exactly such rows, so it joins the row engines.
+    // --relax needs the modified-Dijkstra kernel.
+    let ledger = ledger_path(args)?;
+    if (ledger.is_some() || args.get("resume").is_some())
+        && !(kind.row_checkpoints() || kind == EngineKind::Dist)
+    {
+        let spelling = ["checkpoint", "ledger"]
+            .into_iter()
+            .find(|flag| args.get(flag).is_some())
+            .unwrap_or("ledger");
         return Err(format!(
-            "--ledger/--resume work with {}, dist (got `{}`)",
+            "--{spelling}/--resume work with {}, dist (got `{}`)",
             kinds_where(EngineKind::row_checkpoints),
             kind.value_name()
         )
         .into());
     }
-    if args.get("ledger").is_some() && args.get("checkpoint").is_some() {
-        return Err(
-            "--ledger and --checkpoint are mutually exclusive (one durability sink per run)"
-                .to_string()
-                .into(),
-        );
-    }
-    let ledger_fsync = args.get_enum("ledger-fsync", parapsp_core::FsyncPolicy::default())?;
-    if args.get("ledger-fsync").is_some() && args.get("ledger").is_none() {
-        return Err("--ledger-fsync needs --ledger".to_string().into());
+    let ledger_fsync = args.get_enum("ledger-fsync", FsyncPolicy::default())?;
+    if args.get("ledger-fsync").is_some() && ledger.is_none() {
+        return Err("--ledger-fsync needs --checkpoint (or --ledger)"
+            .to_string()
+            .into());
     }
     reject("relax", EngineKind::uses_kernel)?;
     // Source-sweep loop schedule (only the Runner-driven parallel engines
@@ -720,8 +734,19 @@ fn run_algorithm(
     if checkpoint_every == 0 {
         return Err("--checkpoint-every must be at least 1".to_string().into());
     }
+    if let Some(path) = ledger {
+        // A file at the ledger path that this run cannot resume is
+        // refused here, untouched, rather than inside the run.
+        persist::check_ledger_target(path, graph.vertex_count()).map_err(|e| {
+            CliError::failure(format!(
+                "refusing to journal to {path}: {e}; runs write run ledgers, so name a \
+                 new file, and carry an old checkpoint's rows over with \
+                 --resume {path} --checkpoint <new file>"
+            ))
+        })?;
+    }
     // Every Runner-driven algorithm shares the same config plumbing: cap,
-    // relax implementation, and checkpoint policy land in one RunConfig.
+    // relax implementation, and run ledger land in one RunConfig.
     let configure = |mut config: RunConfig| -> RunConfig {
         if let Some(cap) = cap {
             config = config.with_max_distance(cap);
@@ -732,10 +757,7 @@ fn run_algorithm(
         if let Some(schedule) = schedule {
             config = config.with_schedule(schedule);
         }
-        if let Some(path) = args.get("checkpoint") {
-            config = config.with_checkpoint(path, checkpoint_every);
-        }
-        if let Some(path) = args.get("ledger") {
+        if let Some(path) = ledger {
             config = config
                 .with_ledger(path, checkpoint_every)
                 .with_fsync(ledger_fsync);
@@ -759,7 +781,14 @@ fn run_algorithm(
             let block = args.get_parsed("block", 64usize)?;
             let runner = Runner::new(configure(RunConfig::new(threads)));
             let start = std::time::Instant::now();
-            let dist = match drive(&runner, BlockedFwEngine::new(block), graph, args, token)? {
+            let dist = match drive(
+                &runner,
+                BlockedFwEngine::new(block),
+                graph,
+                args,
+                ledger,
+                token,
+            )? {
                 Ok(dist) => dist,
                 Err(stopped) => return Ok(stopped),
             };
@@ -775,17 +804,16 @@ fn run_algorithm(
             let partition = args.get_enum("partition", SourcePartition::default())?;
             let faults = parse_fault_plan(args)?;
             let transport = parse_transport(args)?;
-            let ledger = args.get("ledger").map(|path| LedgerSpec {
-                path: std::path::PathBuf::from(path),
-                fsync: ledger_fsync,
-            });
             let cluster = ClusterConfig {
                 nodes,
                 hub_fraction,
                 partition,
                 faults,
                 transport,
-                ledger,
+                ledger: ledger.map(|path| LedgerSpec {
+                    path: path.into(),
+                    fsync: ledger_fsync,
+                }),
                 ..ClusterConfig::default()
             };
             // Degenerate configurations (zero nodes, more nodes than
@@ -798,7 +826,14 @@ fn run_algorithm(
             // checkpoint): prior rows pre-seed the gather and only the
             // missing sources are dealt to the workers.
             let runner = Runner::new(configure(RunConfig::new(1)));
-            let out = match drive(&runner, DistEngine::new(cluster), graph, args, token)? {
+            let out = match drive(
+                &runner,
+                DistEngine::new(cluster),
+                graph,
+                args,
+                ledger,
+                token,
+            )? {
                 Ok(out) => out,
                 Err(stopped) => return Ok(stopped),
             };
@@ -832,7 +867,14 @@ fn run_algorithm(
             let (config, engine) = kind
                 .row_engine(threads, credit_weight)
                 .expect("the remaining kinds are row engines");
-            let out = match drive(&Runner::new(configure(config)), engine, graph, args, token)? {
+            let out = match drive(
+                &Runner::new(configure(config)),
+                engine,
+                graph,
+                args,
+                ledger,
+                token,
+            )? {
                 Ok(out) => out,
                 Err(stopped) => return Ok(stopped),
             };
@@ -1352,14 +1394,7 @@ mod tests {
         let file = dir.sample();
         // Every spelling the parser accepts, on both a parallel and a
         // sequential kernel engine.
-        for solver in [
-            "dijkstra",
-            "delta",
-            "delta:auto",
-            "delta:3",
-            "stepping",
-            "auto",
-        ] {
+        for solver in ["dijkstra", "delta", "delta:auto", "delta:3", "auto"] {
             for algorithm in ["par-apsp", "seq-optimized"] {
                 apsp(&args(&[
                     "apsp",
@@ -1393,6 +1428,15 @@ mod tests {
                 .to_string();
             assert!(err.contains("--solver"), "{bad}: {err}");
         }
+        // The removed bucket-fusion solver is a usage error that lists
+        // the remaining values.
+        let err = apsp(&args(&["apsp", &file, "--solver", "stepping"])).unwrap_err();
+        assert_eq!(err.exit_code(), 2, "{err}");
+        assert!(
+            err.to_string()
+                .contains("(possible values: dijkstra, delta[:<Δ>|:auto], auto)"),
+            "{err}"
+        );
         // Algorithms that never touch the row kernel reject the flag,
         // naming the ones that do.
         for algorithm in ["dist", "floyd-warshall", "blocked-fw", "dijkstra"] {
@@ -1484,6 +1528,28 @@ mod tests {
         assert_eq!(text.lines().count(), 5);
     }
 
+    /// Asserts that `path` holds a version-3 run ledger.
+    fn assert_ledger(path: &str) {
+        let bytes = std::fs::read(path).unwrap();
+        assert_eq!(&bytes[..5], b"PAPD\x03", "{path} is a v3 run ledger");
+    }
+
+    /// The five-vertex sample's exact matrix.
+    fn sample_matrix(file: &str) -> DistanceMatrix {
+        let graph = load(&args(&["apsp", file])).unwrap().graph;
+        Runner::new(RunConfig::seq_basic())
+            .run(ApspEngine::ordered(), &graph)
+            .dist
+    }
+
+    /// Writes `dist` restricted to `rows` as a version-2 checkpoint, the
+    /// format runs wrote before the run ledger.
+    fn write_v2(path: &std::path::Path, dist: DistanceMatrix, rows: &[usize]) {
+        let completed = (0..dist.n()).map(|s| rows.contains(&s)).collect();
+        let file = std::fs::File::create(path).unwrap();
+        persist::write_checkpoint(&Checkpoint::new(dist, completed), file).unwrap();
+    }
+
     #[test]
     fn checkpoint_and_resume_via_cli() {
         let dir = TestDir::new();
@@ -1496,8 +1562,12 @@ mod tests {
             &ckpt,
             "--checkpoint-every",
             "2",
+            "--ledger-fsync",
+            "never",
         ]))
         .unwrap();
+        // The periodic file is a run ledger.
+        assert_ledger(&ckpt);
         let cp = parapsp_core::persist::load_checkpoint(&ckpt).unwrap();
         assert!(cp.is_complete());
         // Resuming from a complete checkpoint recomputes nothing and succeeds.
@@ -1524,19 +1594,38 @@ mod tests {
             &ckpt,
         ]))
         .unwrap();
+        // The dist driver journals its gather to the same ledger format.
+        let dist_ckpt = dir.join("dist.ckpt").to_string_lossy().into_owned();
+        apsp(&args(&[
+            "apsp",
+            &file,
+            "--algorithm",
+            "dist",
+            "--nodes",
+            "2",
+            "--checkpoint",
+            &dist_ckpt,
+        ]))
+        .unwrap();
+        assert_ledger(&dist_ckpt);
+        assert!(parapsp_core::persist::load_checkpoint(&dist_ckpt)
+            .unwrap()
+            .is_complete());
         // Engines whose rows are not final mid-run reject the flags.
-        for algorithm in ["dist", "blocked-fw", "floyd-warshall"] {
+        for algorithm in ["blocked-fw", "floyd-warshall"] {
+            let err = apsp(&args(&[
+                "apsp",
+                &file,
+                "--algorithm",
+                algorithm,
+                "--checkpoint",
+                &ckpt,
+            ]))
+            .unwrap_err();
+            assert_eq!(err.exit_code(), 2, "{algorithm}: {err}");
             assert!(
-                apsp(&args(&[
-                    "apsp",
-                    &file,
-                    "--algorithm",
-                    algorithm,
-                    "--checkpoint",
-                    &ckpt
-                ]))
-                .is_err(),
-                "{algorithm} must reject --checkpoint"
+                err.to_string().contains("--checkpoint/--resume work with"),
+                "{algorithm}: {err}"
             );
         }
         assert!(apsp(&args(&[
@@ -1603,6 +1692,126 @@ mod tests {
         ]))
         .unwrap();
         std::fs::remove_file(&ledger).ok();
+    }
+
+    /// A file at the ledger path that the run cannot resume — an old v1
+    /// matrix or v2 checkpoint, or a ledger of another size — is refused
+    /// before the run under either spelling, with exit 1, and left as it
+    /// was.
+    #[test]
+    fn a_non_ledger_file_at_the_checkpoint_path_is_refused_untouched() {
+        let dir = TestDir::new();
+        let file = dir.sample();
+        let full = sample_matrix(&file);
+        let v1 = dir.join("old.bin");
+        persist::save_binary(&full, &v1).unwrap();
+        let v2 = dir.join("old.v2");
+        write_v2(&v2, full, &[0, 1, 2, 3, 4]);
+        let other = dir.join("other.ledger");
+        RowLedger::create(&other, 6, FsyncPolicy::Never)
+            .unwrap()
+            .finish()
+            .unwrap();
+        for (path, what) in [
+            (&v1, "version-1 distance matrix"),
+            (&v2, "version-2 checkpoint"),
+            (&other, "version-3 run ledger for 6 vertices"),
+        ] {
+            let before = std::fs::read(path).unwrap();
+            let path = path.to_string_lossy();
+            for (algorithm, spelling) in [
+                ("par-apsp", "--checkpoint"),
+                ("seq-basic", "--ledger"),
+                ("dist", "--checkpoint"),
+            ] {
+                let err = apsp(&args(&[
+                    "apsp",
+                    &file,
+                    "--algorithm",
+                    algorithm,
+                    spelling,
+                    &path,
+                ]))
+                .unwrap_err();
+                assert_eq!(err.exit_code(), 1, "{algorithm} {spelling} {path}: {err}");
+                let message = err.to_string();
+                assert!(
+                    message.contains(what)
+                        && message.contains(&format!("--resume {path} --checkpoint <new file>")),
+                    "{message}"
+                );
+            }
+            assert_eq!(std::fs::read(path.as_ref()).unwrap(), before, "{path}");
+        }
+    }
+
+    /// An old v2 checkpoint migrates to a run ledger through
+    /// `--resume <old> --checkpoint <new>`: the run matches a clean one,
+    /// and the new ledger alone replays the complete matrix.
+    #[test]
+    fn resume_from_a_v2_checkpoint_migrates_it_into_a_new_ledger() {
+        let dir = TestDir::new();
+        let file = dir.sample();
+        let full = sample_matrix(&file);
+        let clean = dir.join("clean.bin").to_string_lossy().into_owned();
+        apsp(&args(&["apsp", &file, "--out", &clean])).unwrap();
+        let old = dir.join("old.v2");
+        write_v2(&old, full.clone(), &[0, 3]);
+        let old = old.to_string_lossy();
+        let new = dir.join("new.ckpt").to_string_lossy().into_owned();
+        let resumed = dir.join("resumed.bin").to_string_lossy().into_owned();
+        let code = apsp(&args(&[
+            "apsp",
+            &file,
+            "--resume",
+            &old,
+            "--checkpoint",
+            &new,
+            "--out",
+            &resumed,
+        ]))
+        .unwrap();
+        assert_eq!(code, 0);
+        assert_eq!(
+            std::fs::read(&resumed).unwrap(),
+            std::fs::read(&clean).unwrap()
+        );
+        assert_ledger(&new);
+        let cp = persist::load_checkpoint(&new).unwrap();
+        assert!(cp.is_complete());
+        assert_eq!(cp.matrix().first_difference(&full), None);
+    }
+
+    /// A run stopped without a ledger writes its completed rows to a new
+    /// ledger at `<graph>.interrupt.ckpt`, one record per row, and that
+    /// file resumes.
+    #[test]
+    fn a_stop_without_a_ledger_writes_one_at_the_default_path() {
+        let dir = TestDir::new();
+        let file = dir.sample();
+        let full = sample_matrix(&file);
+        // Rows 1 and 3 come from a resumed v2 file; the expired deadline
+        // stops the run before it computes any other.
+        let old = dir.join("old.v2");
+        write_v2(&old, full.clone(), &[1, 3]);
+        let code = apsp(&args(&[
+            "apsp",
+            &file,
+            "--resume",
+            &old.to_string_lossy(),
+            "--deadline",
+            "0",
+        ]))
+        .unwrap();
+        assert_eq!(code, 124);
+        let stop = format!("{file}.interrupt.ckpt");
+        assert_ledger(&stop);
+        let cp = persist::load_checkpoint(&stop).unwrap();
+        assert_eq!(cp.completed(), &[false, true, false, true, false]);
+        for s in [1, 3] {
+            assert_eq!(cp.matrix().row(s), full.row(s));
+        }
+        assert_eq!(apsp(&args(&["apsp", &file, "--resume", &stop])).unwrap(), 0);
     }
 
     #[test]
@@ -1805,6 +2014,7 @@ mod tests {
         ]))
         .unwrap();
         assert_eq!(code, 124);
+        assert_ledger(&ckpt);
         let cp = parapsp_core::persist::load_checkpoint(&ckpt).unwrap();
         assert_eq!(cp.n(), 5);
         // The checkpoint resumes to a normal, complete run.
@@ -1844,10 +2054,9 @@ mod tests {
                 "--checkpoint",
                 ckpt.as_str(),
             ];
-            // --checkpoint applies to the row engines; the others fall back
-            // to the derived <file>.interrupt.ckpt path.
-            let row_engine = algorithm.starts_with("par-") || algorithm.starts_with("seq-");
-            let code = if row_engine {
+            // --checkpoint applies to the row engines and dist; blocked-fw
+            // falls back to the derived <file>.interrupt.ckpt path.
+            let code = if algorithm != "blocked-fw" {
                 apsp(&args(&tokens)).unwrap()
             } else {
                 apsp(&args(&tokens[..6])).unwrap()

@@ -9,11 +9,11 @@
 //! dense graphs, the O(n^2.4)-empirical ParAPSP takes over quickly.
 //!
 //! The algorithm lives in [`BlockedFwEngine`], driven by the unified
-//! [`Runner`] pipeline with *pivot iterations* as its work units; it is
-//! not a row-checkpointing engine (see [`Engine::row_checkpoints`]) —
-//! until the last pivot finishes every cell may still shrink, so periodic
-//! checkpoints are skipped and an interrupted run's checkpoint has zero
-//! completed rows.
+//! [`Runner`](crate::engine::Runner) pipeline with *pivot iterations* as
+//! its work units; it is not a row-checkpointing engine (see
+//! [`Engine::row_checkpoints`]) — until the last pivot finishes every
+//! cell may still shrink, so it writes no run ledger and an interrupted
+//! run's checkpoint has zero completed rows.
 
 use std::time::Instant;
 

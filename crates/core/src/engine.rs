@@ -5,17 +5,17 @@
 //! O(engines) change. This module factors the shared lifecycle out once:
 //!
 //! * [`RunConfig`] — every knob (threads, schedule, ordering, kernel
-//!   options, relax implementation, distance cap, checkpoint policy,
-//!   label) in a single builder-style value.
+//!   options, relax implementation, distance cap, run ledger, label) in
+//!   a single builder-style value.
 //! * [`Engine`] — what is *specific* to an algorithm: how to plan its work
 //!   units ([`Engine::prepare`]), how to execute a batch of units
 //!   ([`Engine::run_rows`]), how to snapshot partial progress
 //!   ([`Engine::snapshot`]), and how to assemble its output
 //!   ([`Engine::finish`]).
 //! * [`Runner`] — owns everything else, exactly once: thread-pool
-//!   acquisition, resume validation, the periodic [`CheckpointSink`]
-//!   flush, cancellation plumbing, per-row trace collection, phase
-//!   timing, and [`RunOutcome`] assembly.
+//!   acquisition, resume validation, the run ledger ([`RowJournal`]),
+//!   cancellation plumbing, per-row trace collection, phase timing, and
+//!   [`RunOutcome`] assembly.
 //!
 //! Four engines implement the trait: [`ApspEngine`] (the row engine:
 //! the paper's parallel drivers and Peng's sequential family, static or
@@ -213,8 +213,8 @@ impl EngineKind {
         self.cancellable()
     }
 
-    /// Whether completed rows are final mid-run, i.e. the engine supports
-    /// periodic row checkpoints and `--resume`.
+    /// Whether completed rows are final mid-run, i.e. the engine journals
+    /// them to the run ledger (`--checkpoint`) and supports `--resume`.
     pub fn row_checkpoints(self) -> bool {
         self.is_row_engine()
     }
@@ -242,7 +242,7 @@ impl EngineKind {
     }
 
     /// Whether the algorithm keeps its distance matrix in a
-    /// [`Store`](crate::store::Store) and therefore honours `--store`.
+    /// [`Store`] and therefore honours `--store`.
     /// True for the row engines (published rows go straight into the
     /// selected backend) and the dist driver (the gather target is a
     /// store); the baselines and the blocked Floyd–Warshall mutate dense
@@ -290,37 +290,22 @@ impl ValueEnum for EngineKind {
 // RunConfig
 // ---------------------------------------------------------------------------
 
-/// On-disk shape of a run's durability artifact.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum CheckpointFormat {
-    /// A version-2 checkpoint, atomically rewritten whole on every flush:
-    /// O(n²) bytes per flush, but the file is always a complete snapshot.
-    #[default]
-    Full,
-    /// A version-3 append-only run ledger ([`RowLedger`]): O(row) bytes
-    /// per completed row, recovered by replaying the longest valid
-    /// prefix. The file only ever grows during a run.
-    Ledger,
-}
-
-/// Where, how often, and in which format a run persists its progress.
+/// Where and how often a run journals its completed rows: the
+/// append-only run ledger ([`RowLedger`]), the one format a run writes.
 #[derive(Debug, Clone)]
 pub struct CheckpointPolicy {
-    /// Destination file of the periodic checkpoint or ledger.
+    /// The ledger file.
     pub path: PathBuf,
-    /// Completed work units between flushes (must be ≥ 1).
+    /// Completed work units between ledger commits (must be ≥ 1).
     pub every: usize,
-    /// Full-rewrite checkpoint or append-only ledger.
-    pub format: CheckpointFormat,
-    /// When ledger appends are fsynced (ignored by [`CheckpointFormat::Full`],
-    /// which always fsyncs its atomic rewrite).
+    /// When ledger appends are fsynced.
     pub fsync: FsyncPolicy,
 }
 
 /// Every knob of an APSP run in one builder-style value: thread count,
 /// loop schedule, source ordering, kernel ablation switches (row reuse,
-/// queue dedup, distance cap, relax implementation), checkpoint policy,
-/// and report label.
+/// queue dedup, distance cap, relax implementation), run ledger, and
+/// report label.
 ///
 /// Named constructors pin the paper's algorithm configurations; `with_*`
 /// methods override any piece. The config is engine-agnostic — the same
@@ -340,7 +325,7 @@ pub struct RunConfig {
 
 impl RunConfig {
     /// A bare config: identity ordering, block schedule, default kernel,
-    /// no checkpoint, engine-chosen label.
+    /// no ledger, engine-chosen label.
     pub fn new(threads: usize) -> Self {
         RunConfig {
             threads,
@@ -478,44 +463,25 @@ impl RunConfig {
         self
     }
 
-    /// Periodically persists progress: after every `every` completed work
-    /// units the [`Runner`] writes a version-2 checkpoint (atomically —
-    /// temp file + rename + fsync) to `path`. A run killed between writes
-    /// loses at most `every` rows of work.
+    /// Journals progress to an append-only [`RowLedger`] at `path`: row
+    /// owners append each row as they publish it (O(row) bytes, with a
+    /// checksum per record), and the [`Runner`] commits the ledger after
+    /// every `every` completed work units. A run killed between commits
+    /// loses at most the uncommitted rows.
     ///
-    /// Checkpointing inserts a barrier every `every` units, so small
-    /// values trade sweep parallelism for durability. Engines whose rows
+    /// The ledger is opened with crash recovery: a torn tail from a
+    /// previous incarnation is truncated and its valid rows are folded
+    /// into the resume state, so pointing a run at its own ledger after a
+    /// crash resumes it. Each commit is a barrier, so small values of
+    /// `every` trade sweep parallelism for durability. Engines whose rows
     /// are not final mid-run ([`Engine::row_checkpoints`] is `false`)
-    /// skip the periodic writes.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `every` is zero, and later — during the run — if a
-    /// checkpoint write fails (durability was explicitly requested; a
-    /// silently unwritable checkpoint would defeat it).
-    pub fn with_checkpoint(mut self, path: impl Into<PathBuf>, every: usize) -> Self {
-        assert!(every > 0, "checkpoint interval must be at least 1 source");
-        self.checkpoint = Some(CheckpointPolicy {
-            path: path.into(),
-            every,
-            format: CheckpointFormat::Full,
-            fsync: FsyncPolicy::default(),
-        });
-        self
-    }
-
-    /// Like [`RunConfig::with_checkpoint`], but persists through an
-    /// append-only [`RowLedger`]: after every `every` completed work units
-    /// the [`Runner`] appends the newly completed rows (O(row) bytes each)
-    /// instead of rewriting an O(n²) checkpoint. The ledger is opened with
-    /// crash recovery — a torn tail from a previous incarnation is
-    /// truncated and its valid rows are folded into the resume state, so
-    /// pointing a run at its own ledger after a crash resumes it.
+    /// write no ledger.
     ///
     /// # Panics
     ///
     /// Panics when `every` is zero, and later — during the run — if the
-    /// ledger cannot be opened or appended to.
+    /// ledger cannot be opened or appended to (durability was explicitly
+    /// requested; a silently unwritable ledger would defeat it).
     pub fn with_ledger(mut self, path: impl Into<PathBuf>, every: usize) -> Self {
         assert!(
             every > 0,
@@ -524,7 +490,6 @@ impl RunConfig {
         self.checkpoint = Some(CheckpointPolicy {
             path: path.into(),
             every,
-            format: CheckpointFormat::Ledger,
             fsync: FsyncPolicy::default(),
         });
         self
@@ -534,12 +499,12 @@ impl RunConfig {
     ///
     /// # Panics
     ///
-    /// Panics when no checkpoint/ledger destination was configured first.
+    /// Panics when no ledger was configured first.
     pub fn with_fsync(mut self, fsync: FsyncPolicy) -> Self {
         let policy = self
             .checkpoint
             .as_mut()
-            .expect("configure a checkpoint or ledger before its fsync policy");
+            .expect("configure a ledger before its fsync policy");
         policy.fsync = fsync;
         self
     }
@@ -575,7 +540,7 @@ impl RunConfig {
         &self.store
     }
 
-    /// Configured checkpoint policy, if any.
+    /// Configured run ledger, if any.
     pub fn checkpoint(&self) -> Option<&CheckpointPolicy> {
         self.checkpoint.as_ref()
     }
@@ -638,8 +603,8 @@ pub struct RunSummary {
 ///
 /// Implementations own their mutable state (distance matrix, scratch
 /// space, counters) across the hook calls; the `Runner` owns the
-/// lifecycle — it validates resume checkpoints, chunks units for periodic
-/// checkpointing, persists through the [`CheckpointSink`], and wraps
+/// lifecycle — it validates resume checkpoints, chunks units between
+/// ledger commits, journals completed rows to the run ledger, and wraps
 /// early stops into [`RunOutcome`]s.
 pub trait Engine {
     /// What a completed run yields.
@@ -649,10 +614,10 @@ pub trait Engine {
     /// [`RunConfig`] does not override it.
     fn name(&self) -> &str;
 
-    /// Whether rows completed mid-run are final, making periodic
-    /// checkpoints and resume meaningful. Engines like Floyd–Warshall —
-    /// where every cell may still shrink until the last pivot — return
-    /// `false`, and the [`Runner`] skips periodic checkpointing for them.
+    /// Whether rows completed mid-run are final, making the run ledger
+    /// and resume meaningful. Engines like Floyd–Warshall — where every
+    /// cell may still shrink until the last pivot — return `false`, and
+    /// the [`Runner`] writes no ledger for them.
     fn row_checkpoints(&self) -> bool {
         true
     }
@@ -675,13 +640,14 @@ pub trait Engine {
     /// [`Engine::snapshot`]).
     fn run_rows(&mut self, graph: &CsrGraph, units: &[u32], ctx: &RowsCtx<'_>) -> RowsOutcome;
 
-    /// A consistent version-2 checkpoint of all completed work. Called by
-    /// the [`Runner`] between batches (periodic persistence) and after an
-    /// early stop.
+    /// A consistent [`Checkpoint`] of all completed work, taken between
+    /// batches. The default [`Engine::visit_rows`] walks it for the
+    /// ledger, and the default [`Engine::into_snapshot`] returns it after
+    /// an early stop.
     fn snapshot(&self) -> Checkpoint;
 
-    /// Visits completed rows for incremental (ledger) persistence — the
-    /// fallback for engines that do not journal at publish time: the
+    /// Visits completed rows for the run ledger — the fallback for
+    /// engines that do not journal at publish time: the
     /// [`Runner`] calls it between batches, with the unit batch that just
     /// ran, only when [`Engine::run_rows`] journaled nothing through
     /// [`RowsCtx::journal`]. The engine invokes `visit` with each
@@ -718,44 +684,6 @@ pub trait Engine {
     fn finish(self, graph: &CsrGraph, summary: RunSummary) -> Self::Output
     where
         Self: Sized;
-}
-
-// ---------------------------------------------------------------------------
-// CheckpointSink
-// ---------------------------------------------------------------------------
-
-/// The one place progress checkpoints are written from.
-///
-/// Before the unification every engine carried its own copy of the
-/// flush-and-panic block; the [`Runner`] now owns a single sink. Writes
-/// are atomic (temp file + rename + fsync) via
-/// [`persist::save_checkpoint`].
-#[derive(Debug, Clone)]
-pub struct CheckpointSink {
-    path: PathBuf,
-}
-
-impl CheckpointSink {
-    /// A sink writing to `path`.
-    pub fn new(path: impl Into<PathBuf>) -> Self {
-        CheckpointSink { path: path.into() }
-    }
-
-    /// The destination path.
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-
-    /// Persists `checkpoint`, replacing any previous file atomically.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the write fails: durability was explicitly requested,
-    /// and a silently unwritable checkpoint would defeat it.
-    pub fn flush(&self, checkpoint: &Checkpoint) {
-        persist::save_checkpoint(checkpoint, &self.path)
-            .unwrap_or_else(|err| panic!("writing checkpoint {}: {err}", self.path.display()));
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -983,18 +911,19 @@ impl Runner {
             );
         }
         let start = Instant::now();
-        // A ledger policy opens (and crash-recovers) its file before
-        // `prepare`, so rows replayed from the torn-tail recovery join the
-        // resume state, and rows only the `--resume` artifact knows about
-        // are backfilled into the ledger.
+        // The ledger opens (and crash-recovers) its file before `prepare`,
+        // so rows replayed from the torn-tail recovery join the resume
+        // state, and rows only the `--resume` artifact knows about are
+        // backfilled into the ledger.
+        let policy = self
+            .config
+            .checkpoint
+            .as_ref()
+            .filter(|_| engine.row_checkpoints());
         let mut journal: Option<RowJournal> = None;
-        let resume = match &self.config.checkpoint {
-            Some(policy)
-                if policy.format == CheckpointFormat::Ledger && engine.row_checkpoints() =>
-            {
-                let fail = |err: PersistError| -> ! {
-                    panic!("run ledger {}: {err}", policy.path.display())
-                };
+        let resume = match policy {
+            Some(policy) => {
+                let fail = |err: PersistError| -> ! { ledger_failure(&policy.path, err) };
                 let (mut ledger, replayed) =
                     RowLedger::open(&policy.path, graph.vertex_count(), policy.fsync)
                         .unwrap_or_else(|err| fail(err));
@@ -1019,7 +948,7 @@ impl Runner {
                 journal = Some(RowJournal::new(ledger, merged.completed().to_vec()));
                 Some(merged)
             }
-            _ => resume,
+            None => resume,
         };
         let plan = engine.prepare(graph, &self.config, pool, resume);
         let ctx = RowsCtx {
@@ -1030,11 +959,9 @@ impl Runner {
             journal: journal.as_ref(),
         };
         let t_sssp = Instant::now();
-        let status = match (&self.config.checkpoint, &journal) {
-            (Some(policy), Some(journal)) => {
-                let fail = |err: PersistError| -> ! {
-                    panic!("run ledger {}: {err}", policy.path.display())
-                };
+        let status = match policy.zip(journal.as_ref()) {
+            Some((policy, journal)) => {
+                let fail = |err: PersistError| -> ! { ledger_failure(&policy.path, err) };
                 // Row owners journal as they publish; an engine that
                 // journaled nothing this batch is walked instead. Between
                 // batches no row owner is active, so every row it reports
@@ -1057,27 +984,13 @@ impl Runner {
                 }
                 status
             }
-            (Some(policy), None) if engine.row_checkpoints() => {
-                // Between batches no row owner is active, so a snapshot of
-                // the published rows is a consistent checkpoint.
-                let sink = CheckpointSink::new(&policy.path);
-                let mut status = CancelStatus::Continue;
-                for chunk in plan.units.chunks(policy.every) {
-                    status = engine.run_rows(graph, chunk, &ctx);
-                    sink.flush(&engine.snapshot());
-                    if status.is_stop() {
-                        break;
-                    }
-                }
-                status
-            }
-            _ => engine.run_rows(graph, &plan.units, &ctx),
+            None => engine.run_rows(graph, &plan.units, &ctx),
         };
-        if let Some(journal) = journal {
+        if let Some((policy, journal)) = policy.zip(journal) {
             journal
                 .into_ledger()
                 .finish()
-                .unwrap_or_else(|err| panic!("run ledger: {err}"));
+                .unwrap_or_else(|err| ledger_failure(&policy.path, err));
         }
         let sssp = t_sssp.elapsed();
 
@@ -1086,8 +999,8 @@ impl Runner {
             // the published rows form a consistent partial result. The
             // engine is consumed so row engines can move their store into
             // the checkpoint instead of cloning the whole matrix — the
-            // ledger branch above has already appended the stopping
-            // chunk's completed rows, so nothing else reads the engine.
+            // ledger loop above has already appended the stopping chunk's
+            // completed rows, so nothing else reads the engine.
             return RunOutcome::from_stop(status, engine.into_snapshot());
         }
 
@@ -1106,6 +1019,12 @@ impl Runner {
         };
         RunOutcome::Complete(engine.finish(graph, summary))
     }
+}
+
+/// Raises a run-ledger I/O failure: durability was explicitly requested,
+/// so a ledger that cannot be written stops the run.
+fn ledger_failure(path: &Path, err: PersistError) -> ! {
+    panic!("run ledger {}: {err}", path.display())
 }
 
 /// Journals row `s`, just solved into `store` by the owner of `ws`, from
@@ -1685,9 +1604,11 @@ mod tests {
         const EVERY: usize = 16;
         let dir = std::env::temp_dir().join(format!("parapsp-first-touch-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("stop.ledger");
+        std::fs::remove_file(&path).ok();
         let g = barabasi_albert(150, 3, WeightSpec::Uniform { lo: 1, hi: 9 }, 21).unwrap();
         let n = g.vertex_count();
-        let config = RunConfig::par_apsp(2).with_checkpoint(dir.join("stop.ckpt"), EVERY);
+        let config = RunConfig::par_apsp(2).with_ledger(&path, EVERY);
         assert_eq!(config.store().kind(), crate::store::StoreKind::Dense);
         // One poll per row: the budget lets exactly the first batch run.
         let token = CancelToken::with_poll_budget(EVERY as u64);
@@ -1705,39 +1626,46 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    /// Satellite: `--checkpoint-every` boundaries must produce identical
-    /// version-2 files across engines. With one thread, identity order,
-    /// and a poll budget of `BUDGET`, every row engine completes exactly
-    /// rows `0..BUDGET` — and since published rows are exact, the final
-    /// flushed checkpoint must be byte-identical across par, seq, and
-    /// subset.
+    /// `--checkpoint-every` boundaries must produce identical ledger
+    /// records across engines. With one thread, identity order, and a
+    /// poll budget of `BUDGET`, every row engine completes exactly rows
+    /// `0..BUDGET`, in that order — and since published rows are exact,
+    /// the records after the header (whose run id differs per file) must
+    /// be byte-identical across par, seq, and subset.
     #[test]
-    fn checkpoint_every_boundaries_produce_identical_v2_files_across_engines() {
+    fn checkpoint_every_boundaries_produce_identical_ledger_records_across_engines() {
         const BUDGET: u64 = 20;
         const EVERY: usize = 8; // not a divisor of BUDGET: exercises a mid-chunk stop
+        const HEADER_LEN: usize = 4 + 1 + 8 + 8 + 4;
         let dir = std::env::temp_dir().join("parapsp-engine-tests");
         std::fs::create_dir_all(&dir).unwrap();
         let g = barabasi_albert(90, 3, WeightSpec::Uniform { lo: 1, hi: 9 }, 5).unwrap();
 
         let mut files: Vec<(String, Vec<u8>)> = Vec::new();
         let mut record = |name: &str, run: &mut dyn FnMut(&std::path::Path, &CancelToken)| {
-            let path = dir.join(format!("{name}.ckpt"));
+            let path = dir.join(format!("{name}.ledger"));
+            std::fs::remove_file(&path).ok();
             let token = CancelToken::with_poll_budget(BUDGET);
             run(&path, &token);
             let bytes = std::fs::read(&path).unwrap();
             std::fs::remove_file(&path).ok();
-            files.push((name.to_owned(), bytes));
+            assert_eq!(&bytes[..5], b"PAPD\x03", "{name} wrote a v3 ledger");
+            // Each ledger alone replays exactly the budgeted rows.
+            let cp = persist::read_checkpoint(bytes.as_slice()).unwrap();
+            assert_eq!(cp.completed_count() as u64, BUDGET, "{name}");
+            assert!(cp.completed()[..BUDGET as usize].iter().all(|&done| done));
+            files.push((name.to_owned(), bytes[HEADER_LEN..].to_vec()));
         };
 
         record("par", &mut |path, token| {
             let config = RunConfig::par_apsp(1)
                 .with_ordering(OrderingProcedure::Identity)
-                .with_checkpoint(path, EVERY);
+                .with_ledger(path, EVERY);
             let outcome = Runner::new(config).run_with_token(ApspEngine::new(), &g, token);
             assert!(!outcome.is_complete());
         });
         record("seq", &mut |path, token| {
-            let config = RunConfig::seq_basic().with_checkpoint(path, EVERY);
+            let config = RunConfig::seq_basic().with_ledger(path, EVERY);
             let outcome = Runner::new(config).run_with_token(SeqEngine::ordered(), &g, token);
             assert!(!outcome.is_complete());
         });
@@ -1745,25 +1673,23 @@ mod tests {
             let sources: Vec<u32> = (0..90).collect();
             let config = RunConfig::subset(1)
                 .with_ordering(OrderingProcedure::Identity)
-                .with_checkpoint(path, EVERY);
+                .with_ledger(path, EVERY);
             let outcome = Runner::new(config).run_with_token(SubsetEngine::new(sources), &g, token);
             assert!(!outcome.is_complete());
         });
 
         let (first_name, first) = &files[0];
+        assert_eq!(first.len(), BUDGET as usize * (8 + 4 * 90 + 4));
         for (name, bytes) in &files[1..] {
             assert_eq!(bytes, first, "{name} vs {first_name}");
         }
-        // The shared file holds exactly the budgeted rows.
-        let cp = persist::read_checkpoint(first.as_slice()).unwrap();
-        assert_eq!(cp.completed_count() as u64, BUDGET);
-        assert!(cp.completed()[..BUDGET as usize].iter().all(|&done| done));
 
         // Blocked FW is not a row-checkpointing engine: a run with a
-        // checkpoint policy must not write periodic files, and its stop
-        // checkpoint has zero completed rows by design.
-        let fw_path = dir.join("fw.ckpt");
-        let config = RunConfig::new(2).with_checkpoint(&fw_path, EVERY);
+        // ledger configured must not write one, and its stop checkpoint
+        // has zero completed rows by design.
+        let fw_path = dir.join("fw.ledger");
+        std::fs::remove_file(&fw_path).ok();
+        let config = RunConfig::new(2).with_ledger(&fw_path, EVERY);
         let out = Runner::new(config.clone()).run(BlockedFwEngine::new(32), &g);
         assert_eq!(out.n(), 90);
         assert!(
@@ -1986,19 +1912,6 @@ mod tests {
             let config = RunConfig::subset(2).with_ledger(path, 8);
             Runner::new(config).run(SubsetEngine::new(sources), &g);
         });
-    }
-
-    #[test]
-    fn checkpoint_sink_reports_its_path_and_flushes() {
-        let dir = std::env::temp_dir().join("parapsp-engine-tests");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("sink.ckpt");
-        let sink = CheckpointSink::new(&path);
-        assert_eq!(sink.path(), path.as_path());
-        let cp = Checkpoint::new(crate::DistanceMatrix::new_infinite(3), vec![false; 3]);
-        sink.flush(&cp);
-        assert_eq!(persist::load_checkpoint(&path).unwrap(), cp);
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]

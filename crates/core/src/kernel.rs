@@ -34,7 +34,7 @@ pub struct KernelOptions {
     /// Skip enqueueing a vertex that is already queued (the standard SPFA
     /// guard; the paper's pseudocode enqueues unconditionally).
     pub dedup_queue: bool,
-    /// Distance cap: pairs farther than this stay at [`INF`](parapsp_graph::INF).
+    /// Distance cap: pairs farther than this stay at [`INF`].
     /// Bounded-horizon APSP ("k-hop neighborhoods") does much less work on
     /// small-world graphs while remaining exact within the cap: any path of
     /// total length ≤ cap decomposes into segments that are themselves
@@ -75,7 +75,7 @@ pub(crate) struct Workspace {
     /// Packed "is queued" bitmap: `n/8` bytes instead of `n`, so frontier
     /// bookkeeping stays cache-resident while rows stream through.
     pub(crate) in_queue: BitSet,
-    /// Cyclic bucket array for the Δ-stepping / stepping solvers.
+    /// Cyclic bucket array for the Δ-stepping solver.
     pub(crate) buckets: BucketRing,
     /// Vertices removed from the current bucket, staged for the
     /// heavy-edge phase (Δ-stepping only).

@@ -9,17 +9,17 @@
 //!   then `n²` little-endian `u32`s. Compact and exact; ~4·n² bytes.
 //! * **checkpoint, version 2** — same magic, version 2, `n`, the number
 //!   of completed rows, a completed-row bitmap, then only the completed
-//!   rows in ascending source order. A finished run's checkpoint is a
-//!   complete matrix; a killed run's checkpoint resumes via
-//!   [`crate::engine::Runner::run_resumed`].
+//!   rows in ascending source order. Runs wrote it before the run ledger
+//!   existed; it is still read, so old files resume via
+//!   [`crate::engine::Runner::run_resumed`], but no run writes it.
 //! * **run ledger, version 3** — same magic, version 3, `n`, a run id and
 //!   driver epoch, then one *appended* framed record per completed row
-//!   (source id, row length, payload, FNV-1a checksum). Unlike the
-//!   checkpoint — which is rewritten whole on every flush — the ledger
-//!   grows by O(row) per completed row, and recovery
-//!   ([`RowLedger::open`]) truncates a torn tail and replays the longest
-//!   valid prefix, so a crash mid-append loses at most the record being
-//!   written.
+//!   (source id, row length, payload, FNV-1a checksum). The one format a
+//!   run writes: it grows by O(row) per completed row, every record is
+//!   checksummed, and recovery ([`RowLedger::open`]) truncates a torn
+//!   tail and replays the longest valid prefix, so a crash mid-append
+//!   loses at most the record being written and a corrupted record is
+//!   never replayed.
 //! * **TSV** — human-readable rows, `INF` spelled as `inf`; intended for
 //!   spreadsheets and ad-hoc scripts on small matrices.
 //!
@@ -314,6 +314,10 @@ fn bitmap_len(n: usize) -> usize {
 /// Writes the version-2 checkpoint format: header, completed count,
 /// completed-row bitmap (LSB-first within each byte, padding bits zero),
 /// then only the completed rows in ascending source order.
+///
+/// No run writes this format any more (runs write a [`RowLedger`]); this
+/// stays to build version-2 inputs for [`read_checkpoint`], which still
+/// loads them.
 pub fn write_checkpoint<W: Write>(cp: &Checkpoint, writer: W) -> Result<(), PersistError> {
     let n = cp.n();
     let mut writer = BufWriter::new(writer);
@@ -403,30 +407,7 @@ pub fn read_checkpoint<R: Read>(reader: R) -> Result<Checkpoint, PersistError> {
     }
 }
 
-/// Atomically writes a checkpoint to `path`: the bytes land in a `.tmp`
-/// sibling first, are fsynced, and only then renamed into place, so a
-/// crash at any moment leaves either the previous checkpoint or the new
-/// one — never a torn file. On Unix the parent directory is fsynced too —
-/// and fsync failures are propagated, not swallowed — so the rename
-/// itself survives a power cut; elsewhere directories can't reliably be
-/// opened for syncing and the directory entry is left to the OS.
-pub fn save_checkpoint(cp: &Checkpoint, path: impl AsRef<Path>) -> Result<(), PersistError> {
-    let path = path.as_ref();
-    let mut tmp_name = path.as_os_str().to_owned();
-    tmp_name.push(".tmp");
-    let tmp = PathBuf::from(tmp_name);
-    let file = std::fs::File::create(&tmp)?;
-    // write_checkpoint buffers internally and flushes before returning,
-    // so by the time it returns every byte has reached the file object.
-    write_checkpoint(cp, &file)?;
-    file.sync_all()?;
-    drop(file);
-    std::fs::rename(&tmp, path)?;
-    sync_parent_dir(path)?;
-    Ok(())
-}
-
-/// Fsyncs the directory holding `path`, making a just-renamed entry
+/// Fsyncs the directory holding `path`, making a just-created entry
 /// durable. A bare filename syncs `.`, the working directory.
 #[cfg(unix)]
 fn sync_parent_dir(path: &Path) -> std::io::Result<()> {
@@ -437,8 +418,8 @@ fn sync_parent_dir(path: &Path) -> std::io::Result<()> {
     std::fs::File::open(parent)?.sync_all()
 }
 
-/// Non-Unix platforms often refuse to open directories; the rename is
-/// still atomic, only its durability across power loss is best-effort.
+/// Non-Unix platforms often refuse to open directories; the entry's
+/// durability across power loss is left to the OS.
 #[cfg(not(unix))]
 fn sync_parent_dir(_path: &Path) -> std::io::Result<()> {
     Ok(())
@@ -456,8 +437,7 @@ pub fn load_checkpoint(path: impl AsRef<Path>) -> Result<Checkpoint, PersistErro
 
 /// When ledger appends reach the platter.
 ///
-/// The checkpoint format fsyncs on every flush because it rewrites the
-/// whole file; the ledger appends tiny records, so the caller chooses the
+/// The ledger appends small records, so the caller chooses the
 /// durability/throughput point.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum FsyncPolicy {
@@ -593,14 +573,13 @@ pub fn encode_record(source: u32, row: &[u32], out: &mut Vec<u8>) {
 /// A crash-safe append-only run ledger: one framed record per completed
 /// row, recovered by replaying the longest valid prefix.
 ///
-/// Where [`save_checkpoint`] rewrites O(n²) bytes per flush, the ledger
-/// appends O(n) bytes per completed row — the per-source decomposition
-/// makes every completed row independently final, so appending it once is
-/// all the durability a restart needs. The header carries a `run_id`
-/// (minted at [`RowLedger::create`]) and an `epoch` (bumped on every
-/// [`RowLedger::open`] of an existing file), which the distributed driver
-/// hands to its workers so a restarted driver can reject handshakes from
-/// a different run or a stale incarnation.
+/// The ledger appends O(n) bytes per completed row — the per-source
+/// decomposition makes every completed row independently final, so
+/// appending it once is all the durability a restart needs. The header
+/// carries a `run_id` (minted at [`RowLedger::create`]) and an `epoch`
+/// (bumped on every [`RowLedger::open`] of an existing file), which the
+/// distributed driver hands to its workers so a restarted driver can
+/// reject handshakes from a different run or a stale incarnation.
 #[derive(Debug)]
 pub struct RowLedger {
     writer: BufWriter<std::fs::File>,
@@ -612,6 +591,46 @@ pub struct RowLedger {
     records: u64,
     dirty: bool,
     buf: Vec<u8>,
+}
+
+/// Accepts a `(version, n)` header only when it is a run ledger for `n`
+/// vertices; otherwise the error names what the file is.
+fn expect_ledger(version: u8, file_n: usize, n: usize) -> Result<(), PersistError> {
+    let kind = match version {
+        LEDGER_VERSION if file_n == n => return Ok(()),
+        LEDGER_VERSION => {
+            return Err(PersistError::Format(format!(
+                "a version-{LEDGER_VERSION} run ledger for {file_n} vertices, \
+                 but this run has {n}"
+            )))
+        }
+        VERSION => "distance matrix",
+        CHECKPOINT_VERSION => "checkpoint",
+        _ => "file of an unknown format",
+    };
+    Err(PersistError::Format(format!(
+        "not a run ledger: a version-{version} {kind} (ledgers are version {LEDGER_VERSION})"
+    )))
+}
+
+/// Checks, from its header alone, that `path` can be the run ledger of an
+/// `n`-vertex run: the file is missing, empty, or already such a ledger
+/// (which the run then resumes). Anything else — a version-1 matrix, a
+/// version-2 checkpoint, a ledger for another `n`, a foreign file — is an
+/// error naming what the file is, so a caller can refuse it before the
+/// run starts and leave it untouched, instead of failing inside the run
+/// when [`RowLedger::open`] rejects it.
+pub fn check_ledger_target(path: impl AsRef<Path>, n: usize) -> Result<(), PersistError> {
+    let mut file = match std::fs::File::open(path) {
+        Ok(file) => file,
+        Err(err) if err.kind() == std::io::ErrorKind::NotFound => return Ok(()),
+        Err(err) => return Err(PersistError::Io(err)),
+    };
+    if file.metadata()?.len() == 0 {
+        return Ok(());
+    }
+    let (version, file_n) = read_header(&mut file)?;
+    expect_ledger(version, file_n, n)
 }
 
 /// Mints a run id that is unique for practical purposes without a
@@ -707,17 +726,7 @@ impl RowLedger {
         let (checkpoint, run_id, epoch, valid) = {
             let mut reader = BufReader::new(&mut file);
             let (version, file_n) = read_header(&mut reader)?;
-            if version != LEDGER_VERSION {
-                return Err(PersistError::Format(format!(
-                    "not a run ledger: format version {version} \
-                     (ledgers are version {LEDGER_VERSION})"
-                )));
-            }
-            if file_n != n {
-                return Err(PersistError::Format(format!(
-                    "ledger is for {file_n} vertices but this run has {n}"
-                )));
-            }
+            expect_ledger(version, file_n, n)?;
             replay_ledger_body(&mut reader, n)?
         };
         use std::io::Seek as _;
@@ -958,20 +967,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn checkpoint_round_trip_on_disk_is_atomic() {
-        let dir = std::env::temp_dir().join("parapsp-persist-tests");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("partial.ckpt");
-        let cp = partial_checkpoint();
-        save_checkpoint(&cp, &path).unwrap();
-        // The staging file is renamed away.
-        assert!(!dir.join("partial.ckpt.tmp").exists());
-        let loaded = load_checkpoint(&path).unwrap();
-        assert_eq!(loaded, cp);
-        std::fs::remove_file(path).ok();
-    }
-
     #[cfg(unix)]
     #[test]
     fn bare_filename_syncs_the_working_directory() {
@@ -983,8 +978,8 @@ mod tests {
     #[cfg(unix)]
     #[test]
     fn unsyncable_parent_directory_is_an_error_not_a_shrug() {
-        // The checkpoint lands in a directory that vanishes between the
-        // rename and the fsync — impossible to arrange reliably — so
+        // The ledger lands in a directory that vanishes between its
+        // creation and the fsync — impossible to arrange reliably — so
         // instead exercise the helper directly with a parent that cannot
         // be opened.
         let err = super::sync_parent_dir(Path::new("/definitely/not/a/dir/x.ckpt")).unwrap_err();
@@ -1287,11 +1282,54 @@ mod tests {
         assert!(err.to_string().contains("4 vertices"), "got {err}");
         // A v2 checkpoint is not a ledger: refuse to clobber it.
         let ckpt = dir.join("not-a-ledger.ckpt");
-        save_checkpoint(&partial_checkpoint(), &ckpt).unwrap();
+        write_checkpoint(&partial_checkpoint(), std::fs::File::create(&ckpt).unwrap()).unwrap();
         let err = RowLedger::open(&ckpt, 60, FsyncPolicy::Never).unwrap_err();
         assert!(err.to_string().contains("not a run ledger"), "got {err}");
+        assert!(
+            err.to_string().contains("version-2 checkpoint"),
+            "got {err}"
+        );
         std::fs::remove_file(path).ok();
         std::fs::remove_file(ckpt).ok();
+    }
+
+    /// The header check a caller runs before opening a ledger agrees with
+    /// [`RowLedger::open`]: it accepts exactly the files `open` accepts,
+    /// names what every other file is, and never modifies one.
+    #[test]
+    fn ledger_target_check_reads_only_the_header() {
+        let dir = ledger_dir("target");
+        let missing = dir.join("missing.ledger");
+        std::fs::remove_file(&missing).ok();
+        check_ledger_target(&missing, 60).unwrap();
+        assert!(!missing.exists(), "the check creates nothing");
+        let empty = dir.join("empty.ledger");
+        std::fs::write(&empty, b"").unwrap();
+        check_ledger_target(&empty, 60).unwrap();
+
+        let ledger = dir.join("run.ledger");
+        let mut writer = RowLedger::create(&ledger, 60, FsyncPolicy::Never).unwrap();
+        writer.append(0, sample_matrix().row(0)).unwrap();
+        writer.finish().unwrap();
+        check_ledger_target(&ledger, 60).unwrap();
+
+        let v1 = dir.join("matrix.bin");
+        save_binary(&sample_matrix(), &v1).unwrap();
+        let v2 = dir.join("old.ckpt");
+        write_checkpoint(&partial_checkpoint(), std::fs::File::create(&v2).unwrap()).unwrap();
+        for (path, n, names) in [
+            (&v1, 60, "version-1 distance matrix"),
+            (&v2, 60, "version-2 checkpoint"),
+            (&ledger, 61, "version-3 run ledger for 60 vertices"),
+        ] {
+            let before = std::fs::read(path).unwrap();
+            let err = check_ledger_target(path, n).unwrap_err();
+            assert!(err.to_string().contains(names), "{}: {err}", path.display());
+            let open_err = RowLedger::open(path, n, FsyncPolicy::Never).unwrap_err();
+            assert_eq!(open_err.to_string(), err.to_string());
+            assert_eq!(std::fs::read(path).unwrap(), before, "{}", path.display());
+        }
+        std::fs::remove_dir_all(dir).ok();
     }
 
     #[test]

@@ -207,8 +207,8 @@ impl StoreSpec {
     }
 
     /// Checks that the hot-row cache budget can hold the lease working
-    /// set at matrix size `n`: at least [`MIN_CACHE_ROWS`] decoded rows
-    /// (one pinned by a live [`RowLease`] plus one incoming decode).
+    /// set at matrix size `n`: at least two decoded rows (one pinned by a
+    /// live [`RowLease`] plus one incoming decode).
     /// Rejecting this up front turns what would otherwise be mid-run
     /// thrash or a mid-run panic into a self-describing build error that
     /// names the minimum budget.
@@ -621,7 +621,7 @@ impl Store {
     }
 
     /// Clones the published rows into a fresh matrix plus completion
-    /// flags (the periodic-checkpoint payload). O(n²).
+    /// flags (the snapshot-checkpoint payload). O(n²).
     pub fn snapshot(&self) -> (DistanceMatrix, Vec<bool>) {
         match &self.inner {
             Inner::Dense(state) => state.snapshot(),

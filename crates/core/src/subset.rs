@@ -9,9 +9,9 @@
 //! in O(k·n) memory.
 //!
 //! The algorithm-specific parts live in [`SubsetEngine`], driven by the
-//! unified [`Runner`] pipeline — which is how the subset path gained
-//! resume, periodic checkpoints, `max_distance` caps, and relax selection
-//! for free:
+//! unified [`Runner`](crate::engine::Runner) pipeline — which is how the
+//! subset path gained resume, the run ledger, `max_distance` caps, and
+//! relax selection for free:
 //!
 //! ```
 //! use parapsp_core::engine::{RunConfig, Runner, SubsetEngine};
@@ -149,8 +149,9 @@ impl SubsetState {
 /// chosen sources into a k × n row store, with row reuse among the subset.
 ///
 /// Work units are *slot indices* into the source list. Through the
-/// [`Runner`] it supports everything the full-matrix engines do — resume
-/// from a vertex-keyed checkpoint, periodic checkpointing, distance caps,
+/// [`Runner`](crate::engine::Runner) it supports everything the
+/// full-matrix engines do — resume from a vertex-keyed checkpoint, the
+/// run ledger, distance caps,
 /// and relax-implementation selection via the [`RunConfig`] kernel
 /// options. With [`OrderingProcedure::Identity`] slots run in list order;
 /// any other ordering visits subset sources in descending degree order.

@@ -421,12 +421,14 @@ impl DistApspOutput {
     }
 }
 
-/// The simulated-cluster driver as a [`Runner`]-drivable [`Engine`].
+/// The simulated-cluster driver as a
+/// [`Runner`](parapsp_core::Runner)-drivable [`Engine`].
 ///
 /// The whole distributed run — source partitioning, hub broadcasting,
 /// streaming gather, crash recovery — is one indivisible work unit, so the
-/// engine reports a single-unit plan and does not support periodic row
-/// checkpoints ([`Engine::row_checkpoints`] is `false`). Cancellation still
+/// engine reports a single-unit plan and the `Runner` writes no ledger for
+/// it ([`Engine::row_checkpoints`] is `false`); the driver journals its
+/// gather to its own [`LedgerSpec`] instead. Cancellation still
 /// works: the cluster driver polls the token every scheduling round, and a
 /// stop yields a checkpoint of all gathered rows, resumable on any
 /// shared-memory engine.

@@ -215,7 +215,6 @@ fn every_solver_matches_seq_basic_on_every_fixture() {
         SolverKind::Dijkstra,
         SolverKind::Delta { delta: None },
         SolverKind::Delta { delta: Some(4) },
-        SolverKind::Stepping,
         SolverKind::Auto,
     ];
     for (fixture, graph) in fixtures() {

@@ -302,13 +302,14 @@ fn version_skew_between_matrix_and_checkpoint_formats() {
     assert!(persist::read_binary(v2.as_slice()).is_err());
 }
 
-/// End-to-end: a checkpointing run writes a loadable file after every
-/// chunk, and the final file alone reproduces the matrix.
+/// End-to-end: a checkpointing run journals a loadable run ledger as it
+/// goes, and the final file alone reproduces the matrix.
 #[test]
 fn checkpoint_file_written_during_a_run_is_loadable_and_exact() {
     let dir = std::env::temp_dir().join("parapsp-faults-tests");
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("run.ckpt");
+    std::fs::remove_file(&path).ok();
 
     let mut b = GraphBuilder::new(80, Direction::Undirected);
     for v in 1..80u32 {
@@ -318,9 +319,10 @@ fn checkpoint_file_written_during_a_run_is_loadable_and_exact() {
     let graph = b.build();
 
     let reference = run_par(4, &graph);
-    let out = Runner::new(RunConfig::par_apsp(4).with_checkpoint(&path, 16))
-        .run(ApspEngine::new(), &graph);
+    let out =
+        Runner::new(RunConfig::par_apsp(4).with_ledger(&path, 16)).run(ApspEngine::new(), &graph);
     assert_eq!(reference.dist.first_difference(&out.dist), None);
+    assert_eq!(&std::fs::read(&path).unwrap()[..5], b"PAPD\x03");
 
     let cp = persist::load_checkpoint(&path).unwrap();
     assert!(cp.is_complete());

@@ -34,11 +34,10 @@ fn arb_graph(max_n: usize, max_m: usize) -> impl Strategy<Value = CsrGraph> {
 
 /// Strategy: an arbitrary solver, including a randomly parameterized Δ.
 fn arb_solver() -> impl Strategy<Value = SolverKind> {
-    (0u32..5, 1u32..=30).prop_map(|(pick, d)| match pick {
+    (0u32..4, 1u32..=30).prop_map(|(pick, d)| match pick {
         0 => SolverKind::Dijkstra,
         1 => SolverKind::Delta { delta: None },
         2 => SolverKind::Delta { delta: Some(d) },
-        3 => SolverKind::Stepping,
         _ => SolverKind::Auto,
     })
 }
