@@ -14,7 +14,7 @@ pub struct Args {
     flags: Vec<String>,
 }
 
-/// Options that take a value; everything else starting with `--` is a flag.
+/// Options that take a value.
 const VALUED: &[&str] = &[
     "--threads",
     "--algorithm",
@@ -61,6 +61,10 @@ const VALUED: &[&str] = &[
     "--ledger-fsync",
 ];
 
+/// Options that take no value. Any other `--name` is a usage error, so a
+/// misspelt option fails instead of being silently ignored.
+const BARE: &[&str] = &["--directed", "--undirected", "--external", "--help"];
+
 impl Args {
     /// Parses raw arguments (excluding the program name).
     pub fn parse(raw: impl IntoIterator<Item = String>) -> Result<Args, String> {
@@ -73,8 +77,10 @@ impl Args {
                         .next()
                         .ok_or_else(|| format!("option {token} needs a value"))?;
                     args.options.insert(name.to_string(), value);
-                } else {
+                } else if BARE.contains(&token.as_str()) {
                     args.flags.push(name.to_string());
+                } else {
+                    return Err(format!("unknown option {token} (see `parapsp help`)"));
                 }
             } else if args.command.is_empty() {
                 args.command = token;
@@ -181,6 +187,32 @@ mod tests {
         let err = args.get_parsed::<usize>("threads", 1).unwrap_err();
         assert!(err.contains("threads"));
         assert!(err.contains("lots"));
+    }
+
+    #[test]
+    fn unknown_options_are_rejected_by_name() {
+        // A misspelt --checkpoint used to run without writing a ledger.
+        let err = Args::parse(
+            ["apsp", "g.txt", "--chekpoint", "run.led"]
+                .iter()
+                .map(|s| s.to_string()),
+        )
+        .unwrap_err();
+        assert!(err.contains("--chekpoint"), "{err}");
+        // `estimate` takes its landmark count from --top; --k used to be
+        // ignored, leaving the default 16 landmarks.
+        let err = Args::parse(
+            ["estimate", "g.txt", "1", "5", "--k", "4"]
+                .iter()
+                .map(|s| s.to_string()),
+        )
+        .unwrap_err();
+        assert!(err.contains("--k"), "{err}");
+        let args = parse(&["estimate", "g.txt", "1", "5", "--top", "4"]);
+        assert_eq!(args.get_parsed("top", 16usize).unwrap(), 4);
+        // The known bare flags still parse.
+        let args = parse(&["apsp", "g.txt", "--undirected", "--external", "--help"]);
+        assert!(args.flag("undirected") && args.flag("external") && args.flag("help"));
     }
 
     #[test]

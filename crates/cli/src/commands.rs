@@ -82,7 +82,8 @@ commands:
                              (alias: run)
   analyze <file>             APSP + centralities + path statistics
   path <file> <src> <dst>    print one shortest route
-  estimate <file> <s> <d>    landmark distance bounds (O(k·n) memory)
+  estimate <file> <s> <d>    landmark distance bounds (O(k·n) memory;
+                             --top <K> landmarks, default 16)
   generate                   write a synthetic graph to --out
   node                       socket worker for a `dist` driver (see below)
   help                       this text
@@ -96,7 +97,9 @@ apsp options:
   --algorithm <name>         par-apsp | par-alg1 | par-alg2 | par-adaptive |
                              seq-basic | seq-optimized | seq-adaptive |
                              blocked-fw | floyd-warshall | dijkstra | dist
-  --nodes <P>                simulated cluster size for `dist`
+  --nodes <P>                cluster size for `dist`; every worker runs the
+                             row kernel, so --cap, --relax and --solver
+                             act inside each worker's rows
   --hub-fraction <F>         hub broadcast fraction for `dist`
   --partition <name>         dist source partition: cyclic-degree |
                              block-degree | cyclic-id
@@ -107,8 +110,9 @@ apsp options:
                              at infinity (every algorithm except
                              floyd-warshall and dijkstra)
   --relax <impl>             row-relaxation kernel: auto | avx2 | portable |
-                             scalar (par-* and seq-* kernel algorithms;
-                             default auto — all variants are bit-identical)
+                             scalar (par-*, seq-* and dist, whose workers
+                             run the same kernel; default auto — all
+                             variants are bit-identical)
   --solver <s>               per-source SSSP solver: dijkstra (default; the
                              paper's modified Dijkstra) | delta[:<width>]
                              (Δ-stepping, width from the mean weight when
@@ -1049,8 +1053,9 @@ pub fn path(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-/// `parapsp estimate <file> <src> <dst> [--k 16]` — landmark-based distance
-/// bounds without the O(n²) matrix (for graphs where `apsp` won't fit).
+/// `parapsp estimate <file> <src> <dst> [--top <K>]` — landmark-based
+/// distance bounds from `K` hub landmarks (default 16) without the O(n²)
+/// matrix (for graphs where `apsp` won't fit).
 pub fn estimate(args: &Args) -> Result<(), String> {
     use parapsp_analysis::landmarks::{LandmarkIndex, LandmarkStrategy};
     let loaded = load(args)?;
@@ -1059,7 +1064,7 @@ pub fn estimate(args: &Args) -> Result<(), String> {
     }
     let threads = args.get_parsed("threads", 4usize)?;
     let k = args
-        .get_parsed("top", 16usize)? // reuse --top as the landmark count
+        .get_parsed("top", 16usize)? // --top is the landmark count
         .min(loaded.graph.vertex_count());
     let parse_vertex = |index: usize, what: &str| -> Result<u32, String> {
         let raw = args
@@ -1310,7 +1315,7 @@ mod tests {
         ]))
         .unwrap();
         // ...but not to algorithms that never touch the modified Dijkstra.
-        for algorithm in ["dist", "floyd-warshall", "blocked-fw"] {
+        for algorithm in ["floyd-warshall", "blocked-fw"] {
             assert!(
                 apsp(&args(&[
                     "apsp",
@@ -1439,7 +1444,7 @@ mod tests {
         );
         // Algorithms that never touch the row kernel reject the flag,
         // naming the ones that do.
-        for algorithm in ["dist", "floyd-warshall", "blocked-fw", "dijkstra"] {
+        for algorithm in ["floyd-warshall", "blocked-fw", "dijkstra"] {
             let err = apsp(&args(&[
                 "apsp",
                 &file,
@@ -1451,10 +1456,42 @@ mod tests {
             .unwrap_err()
             .to_string();
             assert!(
-                err.contains("--solver works with"),
+                err.contains("--solver works with") && err.contains("dist"),
                 "{algorithm} must reject --solver: {err}"
             );
         }
+    }
+
+    #[test]
+    fn dist_workers_run_the_kernel_under_cap_solver_and_relax() {
+        // The dist workers run the row solver with the run's kernel
+        // options: the capped, Δ-stepping, scalar-relax cluster run is
+        // byte-identical to the capped sequential reference.
+        let dir = TestDir::new();
+        let file = dir.sample();
+        let run = |name: &str, extra: &[&str]| -> Vec<u8> {
+            let out = dir.join(name);
+            let out = out.to_string_lossy();
+            let mut tokens = vec!["apsp", &file, "--cap", "4", "--out", &out];
+            tokens.extend_from_slice(extra);
+            assert_eq!(apsp(&args(&tokens)).unwrap(), 0, "{extra:?}");
+            std::fs::read(out.as_ref()).unwrap()
+        };
+        let reference = run("seq.bin", &["--algorithm", "seq-basic"]);
+        let dist = run(
+            "dist.bin",
+            &[
+                "--algorithm",
+                "dist",
+                "--nodes",
+                "2",
+                "--solver",
+                "delta",
+                "--relax",
+                "scalar",
+            ],
+        );
+        assert!(reference == dist, "capped dist run differs from seq-basic");
     }
 
     #[test]

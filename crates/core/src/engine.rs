@@ -19,10 +19,11 @@
 //!
 //! Four engines implement the trait: [`ApspEngine`] (the row engine:
 //! the paper's parallel drivers and Peng's sequential family, static or
-//! adaptive source order), [`SubsetEngine`] (memory-bounded subset rows),
+//! adaptive source order), [`SubsetEngine`] (the row engine over a
+//! source subset, returning memory-bounded subset rows),
 //! [`BlockedFwEngine`] (the blocked Floyd–Warshall comparator), and
 //! `DistEngine` in the `parapsp-dist` crate (the simulated cluster
-//! driver).
+//! driver, whose workers run the same row solver).
 //!
 //! Every run is constructed the same way — pick a [`RunConfig`], pick an
 //! engine, and drive it through a [`Runner`]:
@@ -42,6 +43,7 @@ use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use parapsp_graph::{degree, CsrGraph, INF};
+use parapsp_order::seq_bucket::seq_bucket_sort;
 use parapsp_order::OrderingProcedure;
 use parapsp_parfor::{CancelStatus, CancelToken, ParSlice, PerThread, Schedule, ThreadPool};
 
@@ -206,9 +208,9 @@ impl EngineKind {
         !matches!(self, EngineKind::FloydWarshall | EngineKind::Dijkstra)
     }
 
-    /// Whether the algorithm honours `--cap`: the row engines in their
-    /// kernel, `blocked-fw` and `dist` as a finish-time filter. The two
-    /// baselines would ignore it.
+    /// Whether the algorithm honours `--cap`: the row engines and the
+    /// `dist` workers in their kernel, `blocked-fw` as a finish-time
+    /// filter. The two baselines would ignore it.
     pub fn honours_cap(self) -> bool {
         self.cancellable()
     }
@@ -220,9 +222,10 @@ impl EngineKind {
     }
 
     /// Whether the algorithm runs the modified-Dijkstra kernel, i.e.
-    /// honours `--relax` and `--solver`.
+    /// honours `--relax` and `--solver`: the row engines, and `dist`,
+    /// whose workers run the same row solver.
     pub fn uses_kernel(self) -> bool {
-        self.is_row_engine()
+        self.is_row_engine() || self == EngineKind::Dist
     }
 
     /// Whether the algorithm picks its sources by intermediate credit,
@@ -559,10 +562,10 @@ impl RunConfig {
 /// units plus how long the ordering phase took.
 #[derive(Debug)]
 pub struct Plan {
-    /// Work units in execution order. For the row engines these are source
-    /// vertices (resume-filtered); for [`SubsetEngine`] they are slot
-    /// indices into its source list; for [`BlockedFwEngine`] pivot-tile
-    /// indices. The adaptive order uses only their count.
+    /// Work units in execution order. For the row engines (and
+    /// [`SubsetEngine`]) these are source vertices (resume-filtered); for
+    /// [`BlockedFwEngine`] pivot-tile indices. The adaptive order uses
+    /// only their count.
     pub units: Vec<u32>,
     /// Wall time spent computing the source ordering.
     pub ordering: Duration,
@@ -1027,23 +1030,12 @@ fn ledger_failure(path: &Path, err: PersistError) -> ! {
     panic!("run ledger {}: {err}", path.display())
 }
 
-/// Journals row `s`, just solved into `store` by the owner of `ws`, from
-/// the plain row the owner still holds: the store's own row on lending
-/// backends, the staged `ws.row_buf` (which [`Store::publish_from`] leaves
-/// intact) on delta and mmap.
-fn journal_solved_row(journal: Option<&RowJournal>, store: &Store, s: u32, ws: &mut Workspace) {
-    if let Some(journal) = journal {
-        let row = store.published_row(s).unwrap_or(&ws.row_buf);
-        journal.record(s, row, &mut ws.record_buf);
-    }
-}
-
 // ---------------------------------------------------------------------------
 // ApspEngine — the row engine
 // ---------------------------------------------------------------------------
 
 /// Where [`ApspEngine`] takes its sources from.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 enum OrderSource {
     /// The [`RunConfig`]'s ordering procedure, computed once up front.
     #[default]
@@ -1054,6 +1046,10 @@ enum OrderSource {
     /// vertex's credit counts the shortest paths it relayed in earlier
     /// waves.
     Adaptive { credit_weight: u64, wave: usize },
+    /// These sources only, into a `k × n` subset store: in list order
+    /// under [`OrderingProcedure::Identity`], hub-first under any other
+    /// ordering (the [`SubsetEngine`] behind it).
+    Subset(Vec<u32>),
 }
 
 /// The adaptive order's run state.
@@ -1089,9 +1085,22 @@ impl Adaptive {
     }
 }
 
-/// One pool thread's scratch, counters, busy time, and the current wave's
-/// relay credit (adaptive order only, else empty).
-type RowLocal = (Workspace, Counters, Duration, Vec<u64>);
+/// One pool thread's solver scratch, staging buffers, counters, busy
+/// time, and the current wave's relay credit.
+struct RowLocal {
+    ws: Workspace,
+    /// Staging row for store backends that cannot lend in-place mutable
+    /// rows: [`Store::claim_row`] hands it out reset, the solver computes
+    /// into it, and [`Store::publish_claimed`] hands it over.
+    row_buf: Vec<u32>,
+    /// The owner's encoded run-ledger record ([`RowJournal::record`]);
+    /// stays empty on runs without a ledger.
+    record_buf: Vec<u8>,
+    counters: Counters,
+    busy: Duration,
+    /// Adaptive order only, else empty.
+    credit: Vec<u64>,
+}
 
 /// The row engine: the modified Dijkstra from every source, sources as
 /// independent tasks on the pool under the configured schedule, rows
@@ -1102,7 +1111,8 @@ type RowLocal = (Workspace, Counters, Duration, Vec<u64>);
 /// ParAlg1, ParAlg2, ParBuckets, ParMax and ParAPSP; the same static
 /// order at one thread ([`SeqEngine::ordered`]) gives Peng's Alg. 2/3;
 /// [`ApspEngine::adaptive`] and [`ApspEngine::adaptive_waves`] pick the
-/// sources adaptively instead.
+/// sources adaptively instead, and [`SubsetEngine`] solves the rows of a
+/// chosen source subset only.
 #[derive(Default)]
 pub struct ApspEngine {
     order: OrderSource,
@@ -1151,8 +1161,17 @@ impl ApspEngine {
         }
     }
 
+    /// The engine behind [`SubsetEngine`]: rows for `sources` only.
+    pub(crate) fn subset(sources: Vec<u32>) -> Self {
+        ApspEngine {
+            order: OrderSource::Subset(sources),
+            ..ApspEngine::default()
+        }
+    }
+
     /// Solves `sources` on the pool under the config's schedule: the one
-    /// per-source body of every order source. `feedback` collects relay
+    /// per-source body of every order source: claim the row, solve it,
+    /// publish it, journal it. `feedback` collects relay
     /// credit into each thread's credit slot.
     fn sweep(
         &self,
@@ -1164,22 +1183,37 @@ impl ApspEngine {
         let store = self.store.as_ref().expect("prepare() not called");
         let locals = self.locals.as_ref().expect("prepare() not called");
         let solver = self.solver.as_ref().expect("prepare() not called");
-        let kernel = ctx.config.kernel();
         let trace = ctx.trace;
         let journal = ctx.journal;
         let body = |tid: usize, k: usize| {
             let s = sources[k];
             // SAFETY: each pool thread touches only its own scratch slot.
-            let (ws, counters, busy, credit) = unsafe { locals.get_mut(tid) };
+            let local = unsafe { locals.get_mut(tid) };
             let t0 = Instant::now();
-            // Every source is swept once per run, so source `s` belongs to
-            // exactly this iteration — satisfying the unique-row-owner
-            // contract of the solvers (and of `Store::claim_row`).
-            let credit = feedback.then_some(&mut credit[..]);
-            solver.solve_row(graph, s, store, ws, kernel, counters, credit);
-            journal_solved_row(journal, store, s, ws);
+            // SAFETY: every source is swept once per run, so source `s`
+            // belongs to exactly this iteration — the unique-row-owner
+            // contract of `Store::claim_row`.
+            let (row, staged) = unsafe { store.claim_row(s, &mut local.row_buf) };
+            let credit = feedback.then_some(&mut local.credit[..]);
+            solver.solve_row(
+                graph,
+                s,
+                store,
+                row,
+                &mut local.ws,
+                &mut local.counters,
+                credit,
+            );
+            // Alg. 1 line 21: flag[s] = 1 — publish the completed row.
+            store.publish_claimed(s, row, staged);
+            if let Some(journal) = journal {
+                // The plain row the owner still holds: the store's own on
+                // dense, the staged buffer (left intact) elsewhere.
+                let row = store.published_row(s).unwrap_or(&local.row_buf);
+                journal.record(s, row, &mut local.record_buf);
+            }
             let elapsed = t0.elapsed();
-            *busy += elapsed;
+            local.busy += elapsed;
             if let Some(view) = trace {
                 // SAFETY: as above, the trace slot of `s` belongs
                 // exclusively to this iteration.
@@ -1202,14 +1236,13 @@ impl ApspEngine {
     /// Consumes a finished run: the store, the per-thread counters merged
     /// (with the store's pinned high-water mark folded in), and each
     /// thread's busy time.
-    fn into_results(self) -> (Store, Counters, Vec<Duration>) {
+    pub(crate) fn into_results(self) -> (Store, Counters, Vec<Duration>) {
         let store = self.store.expect("prepare() not called");
-        debug_assert_eq!(store.published_count(), store.n());
         let mut counters = Counters::default();
         let mut thread_busy = Vec::new();
-        for (_, c, busy, _) in self.locals.expect("prepare() not called").into_inner() {
-            counters.merge(&c);
-            thread_busy.push(busy);
+        for local in self.locals.expect("prepare() not called").into_inner() {
+            counters.merge(&local.counters);
+            thread_busy.push(local.busy);
         }
         counters.pinned_bytes_peak = counters.pinned_bytes_peak.max(store.pinned_bytes_peak());
         (store, counters, thread_busy)
@@ -1223,6 +1256,7 @@ impl Engine for ApspEngine {
         match self.order {
             OrderSource::Static => "ParApsp",
             OrderSource::Adaptive { .. } => "ParAdaptive",
+            OrderSource::Subset(_) => "SubsetRows",
         }
     }
 
@@ -1235,44 +1269,66 @@ impl Engine for ApspEngine {
     ) -> Plan {
         let n = graph.vertex_count();
         let degrees = degree::out_degrees(graph);
-        let adaptive = self.order != OrderSource::Static;
+        let adaptive = matches!(self.order, OrderSource::Adaptive { .. });
+        // A subset's store checks its sources before anything indexes by
+        // them.
+        let subset = match &self.order {
+            OrderSource::Subset(sources) => Some((Store::subset(n, sources), sources)),
+            _ => None,
+        };
         let t_order = Instant::now();
-        // The adaptive order picks its sources between waves; its units
-        // are the unpicked sources in index order, and only their count
-        // is used.
-        let order = if adaptive {
-            (0..n as u32).collect()
-        } else {
-            config.ordering().compute(&degrees, pool)
+        let order = match (&self.order, config.ordering()) {
+            // The adaptive order picks its sources between waves; its
+            // units are the unpicked sources in index order, and only
+            // their count is used.
+            (OrderSource::Adaptive { .. }, _) => (0..n as u32).collect(),
+            (OrderSource::Static, ordering) => ordering.compute(&degrees, pool),
+            // A subset keeps the caller's order under Identity, and is
+            // visited hub-first (same rationale as Alg. 3) under anything
+            // else, via the exact O(k) bucket sort.
+            (OrderSource::Subset(sources), OrderingProcedure::Identity) => sources.clone(),
+            (OrderSource::Subset(sources), _) => {
+                let subset_degrees: Vec<u32> =
+                    sources.iter().map(|&s| degrees[s as usize]).collect();
+                seq_bucket_sort(&subset_degrees)
+                    .into_iter()
+                    .map(|i| sources[i as usize])
+                    .collect()
+            }
         };
         let ordering = t_order.elapsed();
-        debug_assert_eq!(order.len(), n);
 
         // A resumed run pre-publishes the checkpoint's completed rows and
         // sweeps only the rest, in the same order a fresh run would visit
         // them.
-        let (store, units) = match resume {
+        let mut units = order;
+        let store = match resume {
             Some(checkpoint) => {
                 let (dist, completed) = checkpoint.into_parts();
-                let units: Vec<u32> = order
-                    .iter()
-                    .copied()
-                    .filter(|&s| !completed[s as usize])
-                    .collect();
-                (Store::from_parts(dist, &completed, config.store()), units)
+                units.retain(|&s| !completed[s as usize]);
+                match subset {
+                    Some((store, sources)) => {
+                        for &s in sources {
+                            if completed[s as usize] {
+                                store.publish_from(s, dist.row(s));
+                            }
+                        }
+                        store
+                    }
+                    None => Store::from_parts(dist, &completed, config.store()),
+                }
             }
-            None => (Store::new(n, config.store()), order),
+            None => subset.map_or_else(|| Store::new(n, config.store()), |(store, _)| store),
         };
         let credit_len = if adaptive { n } else { 0 };
         self.store = Some(store);
-        self.locals = Some(PerThread::from_fn(pool.num_threads(), |_| {
-            let credit = vec![0; credit_len];
-            (
-                Workspace::new(n),
-                Counters::default(),
-                Duration::ZERO,
-                credit,
-            )
+        self.locals = Some(PerThread::from_fn(pool.num_threads(), |_| RowLocal {
+            ws: Workspace::new(n),
+            row_buf: vec![INF; n],
+            record_buf: Vec::new(),
+            counters: Counters::default(),
+            busy: Duration::ZERO,
+            credit: vec![0; credit_len],
         }));
         self.solver = Some(RowSolver::resolve(graph, config.kernel()));
         if adaptive {
@@ -1300,13 +1356,13 @@ impl Engine for ApspEngine {
             // Fold the wave's per-thread credit into the ranking signal;
             // the pool is idle between waves.
             let global = &mut self.adaptive.as_mut().expect("prepare() not called").credit;
-            for (_, _, _, credit) in self
+            for local in self
                 .locals
                 .as_mut()
                 .expect("prepare() not called")
                 .iter_mut()
             {
-                for (global, local) in global.iter_mut().zip(credit) {
+                for (global, local) in global.iter_mut().zip(&mut local.credit) {
                     *global += std::mem::take(local);
                 }
             }
@@ -1406,38 +1462,49 @@ pub struct StoreRunOutput {
     pub algorithm: String,
 }
 
+/// The [`Engine`] methods of a wrapper around an `inner` [`ApspEngine`]
+/// that differs from it only in [`Engine::finish`] ([`StoreApspEngine`],
+/// [`SubsetEngine`]). The signatures name the engine types in scope at
+/// the call site.
+macro_rules! forward_to_row_engine {
+    () => {
+        fn name(&self) -> &str {
+            self.inner.name()
+        }
+
+        fn prepare(
+            &mut self,
+            graph: &CsrGraph,
+            config: &RunConfig,
+            pool: &ThreadPool,
+            resume: Option<Checkpoint>,
+        ) -> Plan {
+            self.inner.prepare(graph, config, pool, resume)
+        }
+
+        fn run_rows(&mut self, graph: &CsrGraph, units: &[u32], ctx: &RowsCtx<'_>) -> RowsOutcome {
+            self.inner.run_rows(graph, units, ctx)
+        }
+
+        fn snapshot(&self) -> Checkpoint {
+            self.inner.snapshot()
+        }
+
+        fn into_snapshot(self) -> Checkpoint {
+            self.inner.into_snapshot()
+        }
+
+        fn visit_rows(&self, units: &[u32], visit: &mut dyn FnMut(u32, &[u32])) {
+            self.inner.visit_rows(units, visit);
+        }
+    };
+}
+pub(crate) use forward_to_row_engine;
+
 impl Engine for StoreApspEngine {
     type Output = StoreRunOutput;
 
-    fn name(&self) -> &str {
-        self.inner.name()
-    }
-
-    fn prepare(
-        &mut self,
-        graph: &CsrGraph,
-        config: &RunConfig,
-        pool: &ThreadPool,
-        resume: Option<Checkpoint>,
-    ) -> Plan {
-        self.inner.prepare(graph, config, pool, resume)
-    }
-
-    fn run_rows(&mut self, graph: &CsrGraph, units: &[u32], ctx: &RowsCtx<'_>) -> RowsOutcome {
-        self.inner.run_rows(graph, units, ctx)
-    }
-
-    fn snapshot(&self) -> Checkpoint {
-        self.inner.snapshot()
-    }
-
-    fn into_snapshot(self) -> Checkpoint {
-        self.inner.into_snapshot()
-    }
-
-    fn visit_rows(&self, units: &[u32], visit: &mut dyn FnMut(u32, &[u32])) {
-        self.inner.visit_rows(units, visit);
-    }
+    forward_to_row_engine!();
 
     fn finish(self, _graph: &CsrGraph, summary: RunSummary) -> StoreRunOutput {
         let (store, counters, _) = self.inner.into_results();
@@ -1515,6 +1582,18 @@ mod tests {
         assert!(EngineKind::ParAdaptive.honours_schedule());
         assert!(!EngineKind::SeqBasic.honours_schedule());
         assert!(!EngineKind::BlockedFw.honours_schedule());
+        // The kernel runs in every row engine and in the dist workers,
+        // and nowhere else.
+        for &kind in EngineKind::value_variants() {
+            assert_eq!(
+                kind.uses_kernel(),
+                kind.row_engine(4, None).is_some() || kind == EngineKind::Dist,
+                "{}",
+                kind.value_name()
+            );
+        }
+        assert!(EngineKind::Dist.uses_kernel() && EngineKind::Dist.honours_cap());
+        assert!(!EngineKind::BlockedFw.uses_kernel());
         // The row-engine table and the capabilities agree, and the
         // sequential kinds always run one thread.
         for &kind in EngineKind::value_variants() {
@@ -1877,8 +1956,8 @@ mod tests {
     }
 
     /// Every row-checkpointing engine — including the adaptive order,
-    /// which picks its sources at run time, and the subset engine, whose
-    /// units are slot indices — produces a complete, exact ledger.
+    /// which picks its sources at run time, and the subset engine, which
+    /// solves a source subset — produces a complete, exact ledger.
     #[test]
     fn all_row_engines_fill_a_ledger_completely() {
         let dir = std::env::temp_dir().join("parapsp-engine-tests");

@@ -9,19 +9,21 @@
 //! any continuation of a path through a flagged vertex is already covered
 //! by that vertex's complete row).
 //!
-//! The kernel writes into a caller-supplied row and reads other rows
-//! through the publication protocol of the [`crate::store`] backends,
-//! which makes the very same code the engine of the sequential *and*
-//! parallel algorithms, against any storage tier.
+//! The kernel solves into a row its caller hands it and reads finished
+//! rows through the [`FinishedRows`] trait, which makes the very same
+//! code the engine of the sequential, parallel and subset drivers
+//! against any [`crate::store`] backend, and of the dist workers against
+//! their table of own and received rows. Claiming and publishing the row
+//! is the caller's business (`ApspEngine`'s sweep, or a dist node).
 
 use std::collections::VecDeque;
 
-use parapsp_graph::{CsrGraph, INF};
+use parapsp_graph::CsrGraph;
 use parapsp_parfor::BitSet;
 
 use crate::relax::{relax_row, RelaxImpl};
 use crate::stats::Counters;
-use crate::store::{LeaseOrigin, Store};
+use crate::store::{FinishedRows, LeaseOrigin};
 
 /// Tuning/ablation switches for the kernel. The defaults reproduce the
 /// paper; the switches exist so the benchmark harness can quantify each
@@ -34,7 +36,8 @@ pub struct KernelOptions {
     /// Skip enqueueing a vertex that is already queued (the standard SPFA
     /// guard; the paper's pseudocode enqueues unconditionally).
     pub dedup_queue: bool,
-    /// Distance cap: pairs farther than this stay at [`INF`].
+    /// Distance cap: pairs farther than this stay at
+    /// [`INF`](parapsp_graph::INF).
     /// Bounded-horizon APSP ("k-hop neighborhoods") does much less work on
     /// small-world graphs while remaining exact within the cap: any path of
     /// total length ≤ cap decomposes into segments that are themselves
@@ -62,15 +65,16 @@ impl Default for KernelOptions {
     }
 }
 
-/// Reusable per-task scratch space, sized once per thread so the inner loop
-/// performs no allocation in the steady state.
+/// Reusable per-task scratch space of the row solvers, sized once per
+/// thread (or dist node) so the inner loop performs no allocation in the
+/// steady state.
 ///
 /// Every [`crate::solver`] variant shares this one structure: the FIFO
 /// kernel uses `queue`/`in_queue`, the bucketed solvers additionally use
-/// the cyclic [`BucketRing`] plus the `removed`/`scratch` staging lists.
+/// the cyclic `BucketRing` plus the `removed`/`scratch` staging lists.
 /// Sharing matters for the no-alloc guarantee — each solver borrows the
 /// same warmed capacities instead of allocating per source.
-pub(crate) struct Workspace {
+pub struct Workspace {
     pub(crate) queue: VecDeque<u32>,
     /// Packed "is queued" bitmap: `n/8` bytes instead of `n`, so frontier
     /// bookkeeping stays cache-resident while rows stream through.
@@ -86,20 +90,11 @@ pub(crate) struct Workspace {
     /// Drain staging: bucket slots are swapped here so a light-phase
     /// relaxation can push back into the slot being drained.
     pub(crate) scratch: Vec<u32>,
-    /// Staging row for store backends that cannot lend in-place mutable
-    /// rows: [`Store::claim_row`] hands it out reset, the solver computes
-    /// into it, and [`Store::publish_claimed`] hands it over.
-    /// Allocated once per thread, like the rest of the workspace.
-    pub(crate) row_buf: Vec<u32>,
-    /// The owner's encoded run-ledger record ([`RowJournal::record`]);
-    /// stays empty on runs without a ledger.
-    ///
-    /// [`RowJournal::record`]: crate::engine::RowJournal::record
-    pub(crate) record_buf: Vec<u8>,
 }
 
 impl Workspace {
-    pub(crate) fn new(n: usize) -> Self {
+    /// Scratch space for rows of an `n`-vertex graph.
+    pub fn new(n: usize) -> Self {
         Workspace {
             queue: VecDeque::with_capacity(64),
             in_queue: BitSet::new(n),
@@ -107,8 +102,6 @@ impl Workspace {
             removed: Vec::new(),
             in_removed: BitSet::new(n),
             scratch: Vec::new(),
-            row_buf: vec![INF; n],
-            record_buf: Vec::new(),
         }
     }
 }
@@ -184,42 +177,37 @@ impl BucketRing {
     }
 }
 
-/// Runs the modified Dijkstra from source `s`, filling row `s` of `store`
-/// and publishing it on completion.
+/// Runs the modified Dijkstra from source `s` into `row`, which arrives
+/// reset to [`INF`] (as [`Store::claim_row`] hands it out) and leaves
+/// holding `s`'s final distances; publishing it is the caller's move.
 ///
-/// # Safety contract (enforced by callers)
-///
-/// The caller must guarantee that it is the unique task running source `s`
-/// (see [`Store::claim_row`]). Every APSP driver in this crate iterates
-/// a permutation of the sources, which provides that guarantee.
-///
-/// On the dense store the solve happens in place; otherwise it is staged
-/// in `ws.row_buf` and handed over on publication. Row reuse fires on
-/// *every* backend through [`Store::lease_row`]: dense rows are lent at
-/// zero cost, delta/mmap rows are pinned in the hot-row cache for the
-/// duration of the relaxation pass (decoding on a miss), and the
-/// queue-front [`Store::prefetch_row`] hint turns into a decode-ahead
-/// that hides that decode behind the current row's work.
+/// Row reuse reads finished rows through `rows`: on a [`Store`], dense
+/// rows are lent at zero cost and delta/mmap rows are pinned in the
+/// hot-row cache for the duration of the relaxation pass (decoding on a
+/// miss), while the queue-front [`FinishedRows::prefetch_row`] hint turns
+/// into a decode-ahead that hides that decode behind the current row's
+/// work. `row` is the caller's own buffer, never one that `rows` lends.
 ///
 /// Optional `intermediate_credit`: incremented at `t` whenever expanding
 /// `t`'s edges improved some other vertex — the signal Peng's *adaptive*
 /// ordering feeds back into source selection.
-pub(crate) fn modified_dijkstra(
+///
+/// [`INF`]: parapsp_graph::INF
+/// [`Store`]: crate::store::Store
+/// [`Store::claim_row`]: crate::store::Store::claim_row
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn modified_dijkstra<R: FinishedRows + ?Sized>(
     graph: &CsrGraph,
     s: u32,
-    store: &Store,
+    rows: &R,
+    row: &mut [u32],
     ws: &mut Workspace,
     options: KernelOptions,
     counters: &mut Counters,
     mut intermediate_credit: Option<&mut [u64]>,
 ) {
-    let n = store.n();
-    debug_assert_eq!(graph.vertex_count(), n);
+    debug_assert_eq!(graph.vertex_count(), row.len());
     debug_assert!(ws.in_queue.none_set(), "dirty workspace");
-
-    // SAFETY: the caller guarantees unique ownership of row `s` and that it
-    // is unpublished; the borrow ends before publication below.
-    let (row, staged) = unsafe { store.claim_row(s, &mut ws.row_buf) };
     row[s as usize] = 0;
 
     ws.queue.push_back(s);
@@ -248,17 +236,15 @@ pub(crate) fn modified_dijkstra(
         let dt = row[t as usize];
 
         // Alg. 1 lines 6–11: a flagged vertex contributes its whole row.
-        // `t != s` always holds for published rows (row `s` is published
-        // only after this function returns), so no aliasing with `row`.
         if options.row_reuse {
             // Overlap the latency of the *next* reuse candidate with the
             // work on `t`: on dense its row head starts travelling toward
             // the cache now; on delta/mmap the decode-ahead worker starts
             // materializing it into the hot-row cache.
             if let Some(&next) = ws.queue.front() {
-                store.prefetch_row(next);
+                rows.prefetch_row(next);
             }
-            if let Some(t_row) = store.lease_row(t) {
+            if let Some(t_row) = rows.lease_row(t) {
                 row_reuses += 1;
                 match t_row.origin() {
                     LeaseOrigin::CacheMiss => lease_misses += 1,
@@ -303,8 +289,6 @@ pub(crate) fn modified_dijkstra(
     counters.lease_misses += lease_misses;
     counters.decode_ahead_hits += decode_ahead_hits;
     counters.sources += 1;
-    // Alg. 1 line 21: flag[s] = 1 — i.e. publish the completed row.
-    store.publish_claimed(s, row, staged);
 
     if !options.dedup_queue {
         // Without the guard the bitmap was never written, nothing to clean.
@@ -315,8 +299,26 @@ pub(crate) fn modified_dijkstra(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::store::StoreSpec;
+    use crate::store::{Store, StoreSpec};
     use parapsp_graph::{CsrGraph, Direction, INF};
+
+    /// One source of an engine sweep, outside any engine: claim row `s`
+    /// of `store`, solve it, publish it.
+    fn solve(
+        graph: &CsrGraph,
+        s: u32,
+        store: &Store,
+        ws: &mut Workspace,
+        options: KernelOptions,
+        counters: &mut Counters,
+        credit: Option<&mut [u64]>,
+    ) {
+        let mut buf = vec![INF; store.n()];
+        // SAFETY: every test sweeps each source once.
+        let (row, staged) = unsafe { store.claim_row(s, &mut buf) };
+        modified_dijkstra(graph, s, store, row, ws, options, counters, credit);
+        store.publish_claimed(s, row, staged);
+    }
 
     fn run_all_sources_on(
         graph: &CsrGraph,
@@ -328,7 +330,7 @@ mod tests {
         let mut ws = Workspace::new(n);
         let mut counters = Counters::default();
         for s in 0..n as u32 {
-            modified_dijkstra(graph, s, &store, &mut ws, options, &mut counters, None);
+            solve(graph, s, &store, &mut ws, options, &mut counters, None);
         }
         assert_eq!(counters.sources, n as u64);
         store.into_matrix(2)
@@ -468,7 +470,12 @@ mod tests {
                 },
                 &spec,
             );
-            assert_eq!(reference.first_difference(&without), None, "{}", spec.label());
+            assert_eq!(
+                reference.first_difference(&without),
+                None,
+                "{}",
+                spec.label()
+            );
         }
     }
 
@@ -499,7 +506,7 @@ mod tests {
         let mut ws = Workspace::new(10);
         let mut counters = Counters::default();
         for s in 0..10u32 {
-            modified_dijkstra(
+            solve(
                 &g,
                 s,
                 &store,
@@ -529,7 +536,7 @@ mod tests {
             let mut ws = Workspace::new(12);
             let mut counters = Counters::default();
             for s in 0..12u32 {
-                modified_dijkstra(
+                solve(
                     &g,
                     s,
                     &store,
@@ -578,7 +585,7 @@ mod tests {
             let mut ws = Workspace::new(90);
             let mut counters = Counters::default();
             for s in 0..90u32 {
-                modified_dijkstra(&g, s, &store, &mut ws, options, &mut counters, None);
+                solve(&g, s, &store, &mut ws, options, &mut counters, None);
             }
             (store.into_matrix(2), counters)
         };
@@ -632,7 +639,7 @@ mod tests {
             ..KernelOptions::default()
         };
         for s in 0..8u32 {
-            modified_dijkstra(
+            solve(
                 &g,
                 s,
                 &store,

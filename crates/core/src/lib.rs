@@ -73,7 +73,7 @@ pub use persist::{FsyncPolicy, RowLedger};
 pub use relax::RelaxImpl;
 pub use solver::{autotune, probe, AutoChoice, GraphProbe, SolverKind};
 pub use stats::{ApspOutput, Counters, PhaseTimings};
-pub use store::{LeaseOrigin, RowLease, RowSource, Store, StoreKind, StoreSpec};
+pub use store::{FinishedRows, LeaseOrigin, RowLease, RowSource, Store, StoreKind, StoreSpec};
 
 /// Infinite distance (no path); re-exported from the graph crate.
 pub use parapsp_graph::INF;

@@ -18,6 +18,11 @@
 //! gets the same effect implicitly from its flush semantics; in Rust the
 //! orderings are explicit.
 //!
+//! A *subset* state ([`SharedDistState::subset`]) holds rows for `k`
+//! chosen sources only: flags stay per vertex, and a vertex → slot map
+//! places each source's row, so the cells take O(k·n) memory under the
+//! very same protocol.
+//!
 //! The [`Store`](crate::store::Store) facade generalizes this protocol to
 //! non-dense backends, and its [`RowLease`](crate::store::RowLease) layer
 //! generalizes the read side: every lease — a borrow here, a pinned
@@ -32,10 +37,13 @@ use parapsp_graph::INF;
 
 use crate::dist::{zeroed_cells, DistanceMatrix};
 
-/// An `n × n` distance matrix shared across SSSP tasks, with one
-/// publication flag per row.
+/// An `n × n` distance matrix (or the `k × n` rows of a source subset)
+/// shared across SSSP tasks, with one publication flag per vertex.
 pub(crate) struct SharedDistState {
     n: usize,
+    /// `slots[v]` is the row slot of subset source `v` (`u32::MAX` for
+    /// every other vertex); `None` when every vertex owns row `v`.
+    slots: Option<Box<[u32]>>,
     cells: Box<[UnsafeCell<u32>]>,
     flags: Box<[AtomicBool]>,
 }
@@ -55,8 +63,30 @@ impl SharedDistState {
     /// `INF`, so a zero row is never read or handed out.
     pub(crate) fn new(n: usize) -> Self {
         let len = n.checked_mul(n).expect("distance matrix size overflow");
-        let flags = (0..n).map(|_| AtomicBool::new(false)).collect();
-        SharedDistState::from_plain(n, zeroed_cells(len), flags)
+        SharedDistState::from_plain(n, None, zeroed_cells(len), unpublished(n))
+    }
+
+    /// Allocates rows for `sources` only, in list order, all unpublished
+    /// and born zero like [`SharedDistState::new`].
+    ///
+    /// # Panics
+    ///
+    /// Panics when a source is out of range or listed twice.
+    pub(crate) fn subset(n: usize, sources: &[u32]) -> Self {
+        let mut slots = vec![u32::MAX; n].into_boxed_slice();
+        for (slot, &s) in sources.iter().enumerate() {
+            assert!(
+                (s as usize) < n,
+                "subset source {s} out of range for {n} vertices"
+            );
+            assert!(
+                slots[s as usize] == u32::MAX,
+                "subset source {s} listed twice"
+            );
+            slots[s as usize] = slot as u32;
+        }
+        let len = sources.len().checked_mul(n).expect("subset size overflow");
+        SharedDistState::from_plain(n, Some(slots), zeroed_cells(len), unpublished(n))
     }
 
     /// Builds the state from a partially computed matrix: rows flagged in
@@ -71,21 +101,32 @@ impl SharedDistState {
             .iter()
             .map(|&done| AtomicBool::new(done))
             .collect();
-        SharedDistState::from_plain(n, dist.into_raw(), flags)
+        SharedDistState::from_plain(n, None, dist.into_raw(), flags)
     }
 
-    fn from_plain(n: usize, plain: Box<[u32]>, flags: Box<[AtomicBool]>) -> Self {
+    fn from_plain(
+        n: usize,
+        slots: Option<Box<[u32]>>,
+        plain: Box<[u32]>,
+        flags: Box<[AtomicBool]>,
+    ) -> Self {
         // SAFETY: UnsafeCell<T> is repr(transparent) over T, so
         // Box<[u32]> and Box<[UnsafeCell<u32>]> have the same layout, and
         // ownership transfers intact.
         let cells: Box<[UnsafeCell<u32>]> =
             unsafe { Box::from_raw(Box::into_raw(plain) as *mut [UnsafeCell<u32>]) };
-        SharedDistState { n, cells, flags }
+        SharedDistState {
+            n,
+            slots,
+            cells,
+            flags,
+        }
     }
 
-    /// Clones the published rows into a fresh matrix and reports which rows
-    /// those are (the checkpoint payload). Must run while no row owner is
-    /// active — the APSP drivers call it only between parallel sweeps.
+    /// Clones the published rows into a fresh `n × n` matrix and reports
+    /// which rows those are (the checkpoint payload, keyed by vertex on a
+    /// subset too). Must run while no row owner is active — the APSP
+    /// drivers call it only between parallel sweeps.
     pub(crate) fn snapshot(&self) -> (DistanceMatrix, Vec<bool>) {
         let mut dist = DistanceMatrix::new_infinite(self.n);
         let mut completed = vec![false; self.n];
@@ -104,6 +145,16 @@ impl SharedDistState {
         self.n
     }
 
+    /// Index of the first cell of vertex `t`'s row. On a subset, vertices
+    /// without a row map past the end of the cells.
+    #[inline]
+    fn row_start(&self, t: u32) -> usize {
+        match &self.slots {
+            None => t as usize * self.n,
+            Some(slots) => slots[t as usize] as usize * self.n,
+        }
+    }
+
     /// Exclusive access to row `s`.
     ///
     /// # Safety
@@ -119,19 +170,21 @@ impl SharedDistState {
             !self.flags[s as usize].load(Ordering::Relaxed),
             "row {s} mutated after publication"
         );
-        let start = s as usize * self.n;
+        let start = self.row_start(s);
         // SAFETY: in-bounds by construction; exclusivity by the caller.
         unsafe { std::slice::from_raw_parts_mut(self.cells[start].get(), self.n) }
     }
 
     /// Issues a software prefetch for the head of row `t`'s storage (see
     /// [`crate::relax::prefetch_read`]). A pure performance hint: valid
-    /// for any in-range row, published or not, because a prefetch
-    /// performs no architectural memory access.
+    /// for any vertex, published or not, because a prefetch performs no
+    /// architectural memory access (and a vertex without a row is
+    /// skipped).
     #[inline]
     pub(crate) fn prefetch_row(&self, t: u32) {
-        let start = t as usize * self.n;
-        crate::relax::prefetch_read(self.cells[start].get() as *const u32);
+        if let Some(cell) = self.cells.get(self.row_start(t)) {
+            crate::relax::prefetch_read(cell.get() as *const u32);
+        }
     }
 
     /// Marks row `s` complete and visible to all threads (Alg. 1 line 21).
@@ -145,10 +198,11 @@ impl SharedDistState {
     #[inline]
     pub(crate) fn published_row(&self, t: u32) -> Option<&[u32]> {
         if self.flags[t as usize].load(Ordering::Acquire) {
-            let start = t as usize * self.n;
+            let start = self.row_start(t);
             // SAFETY: the Acquire load observed the owner's Release store,
             // so every write to this row happens-before this read, and the
-            // protocol forbids further writes.
+            // protocol forbids further writes. Only vertices with a row are
+            // ever published, so the row is in bounds.
             Some(unsafe {
                 std::slice::from_raw_parts(self.cells[start].get() as *const u32, self.n)
             })
@@ -172,31 +226,52 @@ impl SharedDistState {
         self.into_parts().0
     }
 
-    /// Consumes the state, yielding the matrix **and** the publication
-    /// flags — [`SharedDistState::snapshot`] without the O(n²) clone, for
-    /// the finish of a complete run and for stop paths that own the state
-    /// and will not touch it again. Every unpublished row (born zero,
-    /// claimed and abandoned, or left over from a resume) comes out
-    /// [`INF`]; after a complete run this is a flag scan that writes
-    /// nothing.
+    /// Consumes the state, yielding the `n × n` matrix **and** the
+    /// publication flags — [`SharedDistState::snapshot`] without the O(n²)
+    /// clone, for the finish of a complete run and for stop paths that own
+    /// the state and will not touch it again. A subset has no `n × n`
+    /// cells to hand over, so it takes the snapshot.
     pub(crate) fn into_parts(self) -> (DistanceMatrix, Vec<bool>) {
+        if self.slots.is_some() {
+            return self.snapshot();
+        }
+        let n = self.n;
+        let (plain, completed) = self.into_rows();
+        (DistanceMatrix::from_raw(n, plain), completed)
+    }
+
+    /// Consumes the state, yielding its cells row by row (in slot order on
+    /// a subset) and the per-vertex publication flags. Every row never
+    /// published (born zero, claimed and abandoned, or left over from a
+    /// resume) comes out [`INF`]; after a complete run this is a flag scan
+    /// that writes nothing.
+    pub(crate) fn into_rows(self) -> (Box<[u32]>, Vec<bool>) {
         let n = self.n;
         let completed: Vec<bool> = self
             .flags
             .iter()
             .map(|f| f.load(Ordering::Acquire))
             .collect();
+        let unfinished: Vec<usize> = (0..n as u32)
+            .filter(|&v| !completed[v as usize])
+            .map(|v| self.row_start(v))
+            .collect();
         // SAFETY: inverse of the cast in `from_plain`; same layout, sole
         // owner.
         let mut plain: Box<[u32]> =
             unsafe { Box::from_raw(Box::into_raw(self.cells) as *mut [u32]) };
-        for (s, &done) in completed.iter().enumerate() {
-            if !done {
-                plain[s * n..(s + 1) * n].fill(INF);
+        for start in unfinished {
+            // Subset vertices without a row start past the end.
+            if let Some(row) = plain.get_mut(start..start + n) {
+                row.fill(INF);
             }
         }
-        (DistanceMatrix::from_raw(n, plain), completed)
+        (plain, completed)
     }
+}
+
+fn unpublished(n: usize) -> Box<[AtomicBool]> {
+    (0..n).map(|_| AtomicBool::new(false)).collect()
 }
 
 #[cfg(test)]

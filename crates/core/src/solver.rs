@@ -38,11 +38,14 @@
 //! buckets aliasing one slot loses entries — that is where bucketed
 //! relaxation makes naive reuse illegal).
 //!
-//! Reuse rows are read through [`Store::lease_row`] (a [`RowLease`]
-//! guard), so the trick fires identically on every store backend: dense
-//! lends the row, delta/mmap pin a hot-cache entry for the relaxation
-//! pass while [`Store::prefetch_row`] decode-ahead hints keep the next
-//! candidate warm.
+//! Reuse rows are read through [`FinishedRows::lease_row`] (a
+//! [`RowLease`] guard), so the trick fires identically on every store
+//! backend — dense lends the row, delta/mmap pin a hot-cache entry for
+//! the relaxation pass while [`FinishedRows::prefetch_row`] decode-ahead
+//! hints keep the next candidate warm — and on a dist worker's table of
+//! own and received rows. Every row producer (the full, sequential,
+//! adaptive and subset sweeps of `ApspEngine`, and the dist workers)
+//! solves through one [`RowSolver`].
 //!
 //! [`RowLease`]: crate::store::RowLease
 
@@ -52,7 +55,7 @@ use parapsp_parfor::{spec, Schedule};
 use crate::kernel::{modified_dijkstra, KernelOptions, Workspace};
 use crate::relax::{relax_row, RelaxImpl};
 use crate::stats::Counters;
-use crate::store::{LeaseOrigin, Store};
+use crate::store::{FinishedRows, LeaseOrigin};
 
 // ---------------------------------------------------------------------------
 // SolverKind — the CLI-facing choice
@@ -377,14 +380,17 @@ impl LightHeavy {
     }
 }
 
-/// A [`SolverKind`] resolved against one graph: `Auto` collapsed to a
-/// concrete solver, Δ pinned, the cyclic-ring width precomputed from the
-/// maximum edge weight, and (for Δ-stepping) the adjacency re-laid-out
-/// into its light/heavy partition. Resolution happens once per run
-/// (engine `prepare`); `solve_row` is then allocation-free per source.
+/// A [`SolverKind`] resolved against one graph, together with the rest
+/// of the run's [`KernelOptions`]: `Auto` collapsed to a concrete solver,
+/// Δ pinned, the cyclic-ring width precomputed from the maximum edge
+/// weight, and (for Δ-stepping) the adjacency re-laid-out into its
+/// light/heavy partition. Resolution happens once per run (engine
+/// `prepare`, or a dist node's start); `solve_row` is then
+/// allocation-free per source.
 #[derive(Debug, Clone)]
-pub(crate) struct RowSolver {
+pub struct RowSolver {
     kind: Resolved,
+    options: KernelOptions,
     delta: u32,
     ring: usize,
     partition: Option<LightHeavy>,
@@ -392,7 +398,7 @@ pub(crate) struct RowSolver {
 
 impl RowSolver {
     /// Resolves `options.solver` for `graph`.
-    pub(crate) fn resolve(graph: &CsrGraph, options: KernelOptions) -> RowSolver {
+    pub fn resolve(graph: &CsrGraph, options: KernelOptions) -> RowSolver {
         let concrete = match options.solver {
             SolverKind::Auto => autotune(graph).solver,
             other => other,
@@ -400,6 +406,7 @@ impl RowSolver {
         match concrete {
             SolverKind::Dijkstra => RowSolver {
                 kind: Resolved::Dijkstra,
+                options,
                 delta: 1,
                 ring: 1,
                 partition: None,
@@ -409,6 +416,7 @@ impl RowSolver {
                 let delta = delta.unwrap_or_else(|| auto_delta(meanw)).max(1);
                 RowSolver {
                     kind: Resolved::Delta,
+                    options,
                     delta,
                     ring: (maxw as u64).div_ceil(delta as u64) as usize + 2,
                     partition: Some(LightHeavy::build(graph, delta)),
@@ -418,33 +426,35 @@ impl RowSolver {
         }
     }
 
-    /// Computes row `s`, publishing it on completion. Same contract as
-    /// [`modified_dijkstra`]: the caller is the unique owner of row `s`.
+    /// Solves source `s` into `row`, which arrives reset to `INF` and
+    /// leaves holding `s`'s final distances, reusing the finished rows
+    /// `rows` lends (never `row` itself, which is the caller's own
+    /// buffer). Claiming and publishing `row` is the caller's move.
     #[allow(clippy::too_many_arguments)]
-    pub(crate) fn solve_row(
+    pub fn solve_row<R: FinishedRows + ?Sized>(
         &self,
         graph: &CsrGraph,
         s: u32,
-        store: &Store,
+        rows: &R,
+        row: &mut [u32],
         ws: &mut Workspace,
-        options: KernelOptions,
         counters: &mut Counters,
         intermediate_credit: Option<&mut [u64]>,
     ) {
         match self.kind {
-            Resolved::Dijkstra => {
-                modified_dijkstra(graph, s, store, ws, options, counters, intermediate_credit)
-            }
-            Resolved::Delta => delta_row(
-                self,
+            Resolved::Dijkstra => modified_dijkstra(
                 graph,
                 s,
-                store,
+                rows,
+                row,
                 ws,
-                options,
+                self.options,
                 counters,
                 intermediate_credit,
             ),
+            Resolved::Delta => {
+                delta_row(self, graph, s, rows, row, ws, counters, intermediate_credit)
+            }
         }
     }
 }
@@ -475,27 +485,23 @@ impl RowSolver {
 /// distance, and purely-reuse-set distances are dominated by the row
 /// that set them.
 #[allow(clippy::too_many_arguments)]
-fn delta_row(
+fn delta_row<R: FinishedRows + ?Sized>(
     solver: &RowSolver,
     graph: &CsrGraph,
     s: u32,
-    store: &Store,
+    rows: &R,
+    row: &mut [u32],
     ws: &mut Workspace,
-    options: KernelOptions,
     counters: &mut Counters,
     mut intermediate_credit: Option<&mut [u64]>,
 ) {
-    let n = store.n();
-    debug_assert_eq!(graph.vertex_count(), n);
+    debug_assert_eq!(graph.vertex_count(), row.len());
+    let options = solver.options;
     let delta = solver.delta as u64;
     let part = solver
         .partition
         .as_ref()
         .expect("delta resolved with a light/heavy partition");
-
-    // SAFETY: the caller guarantees unique ownership of row `s` and that
-    // it is unpublished; the borrow ends before publication below.
-    let (row, staged) = unsafe { store.claim_row(s, &mut ws.row_buf) };
     row[s as usize] = 0;
 
     let cap = options.max_distance.unwrap_or(u32::MAX);
@@ -545,9 +551,9 @@ fn delta_row(
                     // the FIFO kernel's queue-front prefetch: its row is
                     // being materialized while this one relaxes.
                     if let Some(&next) = ws.scratch.get(i + 1) {
-                        store.prefetch_row(next);
+                        rows.prefetch_row(next);
                     }
-                    if let Some(v_row) = store.lease_row(v) {
+                    if let Some(v_row) = rows.lease_row(v) {
                         row_reuses += 1;
                         match v_row.origin() {
                             LeaseOrigin::CacheMiss => lease_misses += 1,
@@ -618,12 +624,12 @@ fn delta_row(
     counters.lease_misses += lease_misses;
     counters.decode_ahead_hits += decode_ahead_hits;
     counters.sources += 1;
-    store.publish_claimed(s, row, staged);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::store::Store;
     use parapsp_graph::generate::{
         barabasi_albert, erdos_renyi_gnm, path_graph, star_graph, WeightSpec,
     };
@@ -660,6 +666,23 @@ mod tests {
         ]
     }
 
+    /// One source of an engine sweep, outside any engine: claim row `s`
+    /// of `store` (staging in `buf`), solve it, publish it.
+    fn solve_published(
+        solver: &RowSolver,
+        graph: &CsrGraph,
+        s: u32,
+        store: &Store,
+        buf: &mut [u32],
+        ws: &mut Workspace,
+        counters: &mut Counters,
+    ) {
+        // SAFETY: every test sweeps each source once.
+        let (row, staged) = unsafe { store.claim_row(s, buf) };
+        solver.solve_row(graph, s, store, row, ws, counters, None);
+        store.publish_claimed(s, row, staged);
+    }
+
     /// Full APSP sweep with the resolved solver, outside any engine.
     fn sweep_on(
         graph: &CsrGraph,
@@ -671,8 +694,9 @@ mod tests {
         let store = Store::new(n, spec);
         let mut ws = Workspace::new(n);
         let mut counters = Counters::default();
+        let mut buf = vec![INF; n];
         for s in 0..n as u32 {
-            solver.solve_row(graph, s, &store, &mut ws, options, &mut counters, None);
+            solve_published(&solver, graph, s, &store, &mut buf, &mut ws, &mut counters);
         }
         assert_eq!(counters.sources, n as u64);
         store.into_matrix(2)
@@ -944,11 +968,12 @@ mod tests {
             let solver = RowSolver::resolve(&graph, options);
             let mut ws = Workspace::new(n);
             let mut counters = Counters::default();
+            let mut buf = vec![INF; n];
             // Warm sweep: scratch vectors and bucket slots grow to their
             // high-water marks here.
             let warm = Store::new(n, &crate::store::StoreSpec::dense());
             for s in 0..n as u32 {
-                solver.solve_row(&graph, s, &warm, &mut ws, options, &mut counters, None);
+                solve_published(&solver, &graph, s, &warm, &mut buf, &mut ws, &mut counters);
             }
             // Steady state: a second identical sweep reusing the same
             // Workspace must not touch the heap at all. (Pinned for the
@@ -956,7 +981,7 @@ mod tests {
             let store = Store::new(n, &crate::store::StoreSpec::dense());
             let before = crate::alloc_counter::count();
             for s in 0..n as u32 {
-                solver.solve_row(&graph, s, &store, &mut ws, options, &mut counters, None);
+                solve_published(&solver, &graph, s, &store, &mut buf, &mut ws, &mut counters);
             }
             let after = crate::alloc_counter::count();
             assert_eq!(

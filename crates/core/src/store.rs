@@ -332,11 +332,49 @@ enum LeaseBacking<'a> {
     },
 }
 
-impl RowLease<'_> {
+impl<'a> RowLease<'a> {
+    /// Lends a row that outlives the lease at zero cost
+    /// ([`LeaseOrigin::Lent`]): how dense rows, and row tables outside a
+    /// [`Store`], hand their rows to the row solvers.
+    #[inline]
+    pub fn borrowed(row: &'a [u32]) -> RowLease<'a> {
+        RowLease {
+            ptr: row.as_ptr(),
+            len: row.len(),
+            origin: LeaseOrigin::Lent,
+            backing: LeaseBacking::Borrowed(PhantomData),
+        }
+    }
+
     /// How this lease was satisfied.
     #[inline]
     pub fn origin(&self) -> LeaseOrigin {
         self.origin
+    }
+}
+
+/// Where a row solver reads finished rows from: the paper's `flag[t]`
+/// test plus the row `D[t][*]` behind it. Implemented by [`Store`] and by
+/// the dist worker's table of own and received rows; the solvers are
+/// generic over it, so each implementation gets its own monomorphised
+/// copy of the hot loop.
+pub trait FinishedRows {
+    /// Lends finished row `t`, or `None` when `t` has no finished row.
+    fn lease_row(&self, t: u32) -> Option<RowLease<'_>>;
+
+    /// Look-ahead hint: row `t` is likely leased next.
+    fn prefetch_row(&self, t: u32);
+}
+
+impl FinishedRows for Store {
+    #[inline]
+    fn lease_row(&self, t: u32) -> Option<RowLease<'_>> {
+        Store::lease_row(self, t)
+    }
+
+    #[inline]
+    fn prefetch_row(&self, t: u32) {
+        Store::prefetch_row(self, t)
     }
 }
 
@@ -450,6 +488,29 @@ impl Store {
         }
     }
 
+    /// A dense store holding rows for `sources` only, O(k·n) cells
+    /// behind per-vertex flags (see `SharedDistState::subset`): the
+    /// subset rows' store. Its teardown is
+    /// [`Store::into_subset_rows`].
+    ///
+    /// # Panics
+    ///
+    /// Panics when a source is out of range or listed twice.
+    pub(crate) fn subset(n: usize, sources: &[u32]) -> Store {
+        Store {
+            inner: Inner::Dense(SharedDistState::subset(n, sources)),
+        }
+    }
+
+    /// Consumes a [`Store::subset`] store, yielding its `k × n` rows in
+    /// source-list order; unpublished rows come out infinite.
+    pub(crate) fn into_subset_rows(self) -> Box<[u32]> {
+        match self.inner {
+            Inner::Dense(state) => state.into_rows().0,
+            _ => unreachable!("subset stores are dense"),
+        }
+    }
+
     /// The backend in use.
     pub fn kind(&self) -> StoreKind {
         match &self.inner {
@@ -533,12 +594,7 @@ impl Store {
     #[inline]
     pub fn lease_row(&self, t: u32) -> Option<RowLease<'_>> {
         match &self.inner {
-            Inner::Dense(state) => state.published_row(t).map(|row| RowLease {
-                ptr: row.as_ptr(),
-                len: row.len(),
-                origin: LeaseOrigin::Lent,
-                backing: LeaseBacking::Borrowed(PhantomData),
-            }),
+            Inner::Dense(state) => state.published_row(t).map(RowLease::borrowed),
             Inner::Delta(store) => store.inner.lease_row(t),
             Inner::Mmap(store) => store.inner.lease_row(t),
         }
@@ -1923,10 +1979,8 @@ mod tests {
         }
         let a = store.lease_row(0).expect("lease row 0");
         let b = store.lease_row(1).expect("lease row 1");
-        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            store.lease_row(2)
-        }))
-        .expect_err("third lease must overflow the pinned budget");
+        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| store.lease_row(2)))
+            .expect_err("third lease must overflow the pinned budget");
         let msg = err
             .downcast_ref::<String>()
             .cloned()

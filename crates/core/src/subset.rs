@@ -3,15 +3,15 @@
 //! The paper's hard limit is the O(n²) result matrix (its sx-superuser run
 //! needs 160 GB, §5.1). Many analyses don't need all rows: landmark-based
 //! distance estimation, closeness sampling, or per-community probes use
-//! k ≪ n sources. This module runs the modified Dijkstra from exactly
-//! those sources, with row reuse **among the subset** (a completed subset
-//! row accelerates the remaining subset runs exactly as in full ParAPSP),
-//! in O(k·n) memory.
-//!
-//! The algorithm-specific parts live in [`SubsetEngine`], driven by the
-//! unified [`Runner`](crate::engine::Runner) pipeline — which is how the
-//! subset path gained resume, the run ledger, `max_distance` caps, and
-//! relax selection for free:
+//! k ≪ n sources. [`SubsetEngine`] runs the row engine,
+//! [`ApspEngine`], from exactly those sources
+//! into a `k × n` shape of the dense store (per-vertex flags, a vertex →
+//! slot map, O(k·n) cells), with row reuse **among the subset** (a
+//! completed subset row accelerates the remaining subset runs exactly as
+//! in full ParAPSP). Being the row engine, the subset path has the
+//! [`Runner`](crate::engine::Runner)'s resume and run ledger, and the
+//! kernel's solvers, relax choice, prefetch, `max_distance` caps and
+//! counters:
 //!
 //! ```
 //! use parapsp_core::engine::{RunConfig, Runner, SubsetEngine};
@@ -22,20 +22,13 @@
 //! assert_eq!(rows.row_of(42).unwrap().len(), 100);
 //! ```
 
-use std::cell::UnsafeCell;
-use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::time::Instant;
+use parapsp_graph::CsrGraph;
+use parapsp_parfor::ThreadPool;
 
-use parapsp_graph::{degree, CsrGraph, INF};
-use parapsp_order::seq_bucket::seq_bucket_sort;
-use parapsp_order::OrderingProcedure;
-use parapsp_parfor::{BitSet, CancelStatus, PerThread, ThreadPool};
-
-use crate::dist::{zeroed_cells, DistanceMatrix};
-use crate::engine::{Engine, Plan, RowsCtx, RowsOutcome, RunConfig, RunSummary};
+use crate::engine::{
+    forward_to_row_engine, ApspEngine, Engine, Plan, RowsCtx, RowsOutcome, RunConfig, RunSummary,
+};
 use crate::persist::Checkpoint;
-use crate::relax::relax_row;
 
 /// Distance rows for a chosen set of sources, in O(k·n) memory.
 #[derive(Debug)]
@@ -73,106 +66,31 @@ impl SubsetRows {
     }
 }
 
-/// Shared k × n state: the same Release/Acquire publication protocol as the
-/// full matrix, with a vertex → slot indirection.
-struct SubsetState {
-    n: usize,
-    /// slot_of[v] = row slot of v when v is a subset source, else u32::MAX.
-    slot_of: Vec<u32>,
-    cells: Box<[UnsafeCell<u32>]>,
-    flags: Box<[AtomicBool]>,
-}
-
-// SAFETY: same argument as `SharedDistState` — rows are uniquely owned
-// until published, immutable after.
-unsafe impl Sync for SubsetState {}
-
-impl SubsetState {
-    fn new(n: usize, sources: &[u32]) -> Self {
-        let mut slot_of = vec![u32::MAX; n];
-        for (slot, &s) in sources.iter().enumerate() {
-            assert!(
-                (s as usize) < n,
-                "subset source {s} out of range for {n} vertices"
-            );
-            assert!(
-                slot_of[s as usize] == u32::MAX,
-                "subset source {s} listed twice"
-            );
-            slot_of[s as usize] = slot as u32;
-        }
-        // Rows are born zero and reset by their owners at claim, as in the
-        // full matrix (`SharedDistState::new`).
-        let len = sources.len().checked_mul(n).expect("subset size overflow");
-        let plain = zeroed_cells(len);
-        // SAFETY: UnsafeCell<u32> is repr(transparent) over u32.
-        let cells = unsafe { Box::from_raw(Box::into_raw(plain) as *mut [UnsafeCell<u32>]) };
-        SubsetState {
-            n,
-            slot_of,
-            cells,
-            flags: (0..sources.len()).map(|_| AtomicBool::new(false)).collect(),
-        }
-    }
-
-    /// # Safety
-    /// Caller must be the unique task for slot `slot`, pre-publication.
-    #[allow(clippy::mut_from_ref)]
-    unsafe fn row_mut(&self, slot: u32) -> &mut [u32] {
-        let start = slot as usize * self.n;
-        // SAFETY: forwarded to the caller.
-        unsafe { std::slice::from_raw_parts_mut(self.cells[start].get(), self.n) }
-    }
-
-    fn published_row_of_vertex(&self, v: u32) -> Option<&[u32]> {
-        let slot = self.slot_of[v as usize];
-        if slot == u32::MAX {
-            return None;
-        }
-        if self.flags[slot as usize].load(Ordering::Acquire) {
-            let start = slot as usize * self.n;
-            // SAFETY: Acquire pairs with the publishing Release.
-            Some(unsafe {
-                std::slice::from_raw_parts(self.cells[start].get() as *const u32, self.n)
-            })
-        } else {
-            None
-        }
-    }
-
-    fn publish(&self, slot: u32) {
-        self.flags[slot as usize].store(true, Ordering::Release);
-    }
-}
-
-/// The subset-of-sources engine: modified Dijkstra (SPFA form) from `k`
-/// chosen sources into a k × n row store, with row reuse among the subset.
+/// The subset-of-sources engine: the row engine with the subset as its
+/// order source, plus a finish that hands back [`SubsetRows`].
 ///
-/// Work units are *slot indices* into the source list. Through the
-/// [`Runner`](crate::engine::Runner) it supports everything the
-/// full-matrix engines do — resume from a vertex-keyed checkpoint, the
-/// run ledger, distance caps,
-/// and relax-implementation selection via the [`RunConfig`] kernel
-/// options. With [`OrderingProcedure::Identity`] slots run in list order;
-/// any other ordering visits subset sources in descending degree order.
+/// Work units are the subset's source vertices. Resume takes a
+/// vertex-keyed checkpoint (rows outside the subset are ignored), and the
+/// run ledger, distance caps, solver and relax selection come from the
+/// [`RunConfig`]; the subset rows always live in dense memory, whatever
+/// its store. With [`OrderingProcedure::Identity`] the sources run in
+/// list order; any other ordering visits them in descending degree
+/// order. Duplicate or out-of-range sources panic at
+/// [`Engine::prepare`].
+///
+/// [`OrderingProcedure::Identity`]: parapsp_order::OrderingProcedure::Identity
 pub struct SubsetEngine {
     sources: Vec<u32>,
-    state: Option<SubsetState>,
-    locals: Option<PerThread<SubsetScratch>>,
+    inner: ApspEngine,
 }
-
-/// Per-thread scratch of a [`SubsetEngine`]: the queue, its membership
-/// bitmap, and the encoded run-ledger record.
-type SubsetScratch = (VecDeque<u32>, BitSet, Vec<u8>);
 
 impl SubsetEngine {
     /// An engine computing the rows of `sources` (duplicates rejected at
     /// [`Engine::prepare`] time).
     pub fn new(sources: Vec<u32>) -> Self {
         SubsetEngine {
+            inner: ApspEngine::subset(sources.clone()),
             sources,
-            state: None,
-            locals: None,
         }
     }
 
@@ -185,163 +103,14 @@ impl SubsetEngine {
 impl Engine for SubsetEngine {
     type Output = SubsetRows;
 
-    fn name(&self) -> &str {
-        "SubsetRows"
-    }
-
-    fn prepare(
-        &mut self,
-        graph: &CsrGraph,
-        config: &RunConfig,
-        pool: &ThreadPool,
-        resume: Option<Checkpoint>,
-    ) -> Plan {
-        let n = graph.vertex_count();
-        let state = SubsetState::new(n, &self.sources);
-
-        let t_order = Instant::now();
-        let order: Vec<u32> = match config.ordering() {
-            // Identity keeps the caller's slot order.
-            OrderingProcedure::Identity => (0..self.sources.len() as u32).collect(),
-            // Anything else: visit subset sources hub-first (same
-            // rationale as Alg. 3), via the exact O(k) bucket sort.
-            _ => {
-                let degrees = degree::out_degrees(graph);
-                let subset_degrees: Vec<u32> =
-                    self.sources.iter().map(|&s| degrees[s as usize]).collect();
-                seq_bucket_sort(&subset_degrees) // indices into `sources`
-            }
-        };
-        let ordering = t_order.elapsed();
-
-        // A resumed run pre-publishes the checkpoint's finished subset
-        // rows (the checkpoint is keyed by vertex id) and sweeps the rest.
-        let units = match resume {
-            Some(checkpoint) => {
-                let (dist, completed) = checkpoint.into_parts();
-                for (slot, &s) in self.sources.iter().enumerate() {
-                    if completed[s as usize] {
-                        // SAFETY: pre-sweep, this thread is the unique owner
-                        // of every unpublished slot.
-                        unsafe { state.row_mut(slot as u32) }.copy_from_slice(dist.row(s));
-                        state.publish(slot as u32);
-                    }
-                }
-                order
-                    .iter()
-                    .copied()
-                    .filter(|&slot| !completed[self.sources[slot as usize] as usize])
-                    .collect()
-            }
-            None => order,
-        };
-        self.state = Some(state);
-        self.locals = Some(PerThread::from_fn(pool.num_threads(), |_| {
-            (VecDeque::new(), BitSet::new(n), Vec::new())
-        }));
-        Plan { units, ordering }
-    }
-
-    fn run_rows(&mut self, graph: &CsrGraph, units: &[u32], ctx: &RowsCtx<'_>) -> RowsOutcome {
-        let state = self.state.as_ref().expect("prepare() not called");
-        let locals = self.locals.as_ref().expect("prepare() not called");
-        let sources = &self.sources;
-        let kernel = ctx.config.kernel();
-        let cap = kernel.max_distance.unwrap_or(u32::MAX);
-        let relax_impl = kernel.relax.resolve();
-        let trace = ctx.trace;
-        let journal = ctx.journal;
-        let body = |tid: usize, k: usize| {
-            let slot = units[k];
-            let s = sources[slot as usize];
-            // SAFETY: one scratch slot per pool thread.
-            let (queue, in_queue, record_buf) = unsafe { locals.get_mut(tid) };
-            let t0 = Instant::now();
-            // SAFETY: `units` is drawn from a permutation of slots, so this
-            // task is the unique owner of `slot`.
-            let row = unsafe { state.row_mut(slot) };
-            row.fill(INF);
-            row[s as usize] = 0;
-            queue.push_back(s);
-            in_queue.set(s as usize);
-            while let Some(t) = queue.pop_front() {
-                in_queue.clear(t as usize);
-                let dt = row[t as usize];
-                if t != s {
-                    if let Some(t_row) = state.published_row_of_vertex(t) {
-                        relax_row(relax_impl, row, t_row, dt, cap);
-                        continue;
-                    }
-                }
-                for (v, w) in graph.out_edges(t) {
-                    let alt = dt.saturating_add(w);
-                    if alt < row[v as usize] && alt <= cap {
-                        row[v as usize] = alt;
-                        if !in_queue.get(v as usize) {
-                            queue.push_back(v);
-                            in_queue.set(v as usize);
-                        }
-                    }
-                }
-            }
-            state.publish(slot);
-            if let Some(journal) = journal {
-                let row = state
-                    .published_row_of_vertex(s)
-                    .expect("row published just above");
-                journal.record(s, row, record_buf);
-            }
-            if let Some(view) = trace {
-                // SAFETY: as above, the trace slot of `s` belongs
-                // exclusively to this iteration.
-                unsafe { view.write(s as usize, t0.elapsed().as_nanos() as u64) };
-            }
-        };
-        match ctx.token {
-            Some(token) => {
-                ctx.pool
-                    .parallel_for_cancellable(units.len(), ctx.config.schedule(), token, body)
-            }
-            None => {
-                ctx.pool
-                    .parallel_for(units.len(), ctx.config.schedule(), body);
-                CancelStatus::Continue
-            }
-        }
-    }
-
-    fn snapshot(&self) -> Checkpoint {
-        // Published subset rows are final. Place them in an n × n
-        // checkpoint keyed by *vertex* id (the persistent format has no
-        // notion of subset slots).
-        let state = self.state.as_ref().expect("prepare() not called");
-        let mut dist = DistanceMatrix::new_infinite(state.n);
-        let mut completed = vec![false; state.n];
-        for &s in &self.sources {
-            if let Some(row) = state.published_row_of_vertex(s) {
-                dist.copy_row_from(s, row);
-                completed[s as usize] = true;
-            }
-        }
-        Checkpoint::new(dist, completed)
-    }
+    forward_to_row_engine!();
 
     fn finish(self, _graph: &CsrGraph, summary: RunSummary) -> SubsetRows {
-        let state = self.state.expect("prepare() not called");
-        // SAFETY: no row owner is left; single ownership again.
-        let mut data: Box<[u32]> =
-            unsafe { Box::from_raw(Box::into_raw(state.cells) as *mut [u32]) };
-        // A flag scan after a complete run: only a slot never published
-        // (still zero from `SubsetState::new`) is written.
-        for (slot, flag) in state.flags.iter().enumerate() {
-            if !flag.load(Ordering::Acquire) {
-                data[slot * state.n..(slot + 1) * state.n].fill(INF);
-            }
-        }
+        let (store, _, _) = self.inner.into_results();
         SubsetRows {
-            n: state.n,
+            n: store.n(),
             sources: self.sources,
-            data,
+            data: store.into_subset_rows(),
             elapsed: summary.timings.total,
         }
     }
@@ -354,7 +123,7 @@ mod tests {
     use crate::engine::Runner;
     use crate::outcome::RunOutcome;
     use parapsp_graph::generate::{barabasi_albert, erdos_renyi_gnm, WeightSpec};
-    use parapsp_graph::Direction;
+    use parapsp_graph::{Direction, INF};
     use parapsp_parfor::CancelToken;
 
     fn par_apsp_subset(graph: &CsrGraph, sources: &[u32], threads: usize) -> SubsetRows {

@@ -28,8 +28,9 @@ use std::time::{Duration, Instant};
 use crossbeam::channel::unbounded;
 
 use parapsp_core::engine::{Engine, Plan, RowsCtx, RowsOutcome, RunConfig, RunSummary, ValueEnum};
+use parapsp_core::kernel::KernelOptions;
 use parapsp_core::persist::{mint_run_id, Checkpoint, FsyncPolicy, RowLedger};
-use parapsp_core::{DistanceMatrix, RunOutcome, Store, StoreKind, StoreSpec, INF};
+use parapsp_core::{DistanceMatrix, RunOutcome, Store, StoreKind, StoreSpec};
 use parapsp_graph::{degree, CsrGraph};
 use parapsp_order::OrderingProcedure;
 use parapsp_parfor::{CancelStatus, CancelToken, ThreadPool};
@@ -435,8 +436,10 @@ impl DistApspOutput {
 ///
 /// The cluster's own ordering is always MultiLists over the global degree
 /// order (the distributed analogue of ParAPSP), so the [`RunConfig`]'s
-/// ordering procedure and schedule are ignored; `max_distance` is honoured
-/// as an exact post-filter on the gathered matrix.
+/// ordering procedure and schedule are ignored. Its kernel options
+/// travel to every node, whose workers run the core row solver under
+/// them: `max_distance`, the relax implementation and the solver act
+/// inside each row, exactly as on the shared-memory engines.
 ///
 /// The graph is replicated on every node (standard practice for
 /// source-partitioned APSP: the O(n + m) structure is negligible next to
@@ -465,7 +468,7 @@ impl DistApspOutput {
 pub struct DistEngine {
     cluster: ClusterConfig,
     n: usize,
-    cap: Option<u32>,
+    kernel: KernelOptions,
     result: Option<DistApspOutput>,
     stopped: Option<Checkpoint>,
     resume: Option<Checkpoint>,
@@ -477,7 +480,7 @@ impl DistEngine {
         DistEngine {
             cluster,
             n: 0,
-            cap: None,
+            kernel: KernelOptions::default(),
             result: None,
             stopped: None,
             resume: None,
@@ -520,7 +523,7 @@ impl Engine for DistEngine {
         // configured ledger replays.
         self.resume = resume;
         self.n = graph.vertex_count();
-        self.cap = config.kernel().max_distance;
+        self.kernel = config.kernel();
         // The engine-agnostic `--store` selection reaches the cluster here:
         // the driver's gather target uses the run config's backend.
         self.cluster.store = config.store().clone();
@@ -533,7 +536,8 @@ impl Engine for DistEngine {
     }
 
     fn run_rows(&mut self, graph: &CsrGraph, _units: &[u32], ctx: &RowsCtx<'_>) -> RowsOutcome {
-        match run_cluster(graph, self.cluster.clone(), ctx.token, self.resume.take()) {
+        let resume = self.resume.take();
+        match run_cluster(graph, self.cluster.clone(), self.kernel, ctx.token, resume) {
             RunOutcome::Complete(output) => {
                 self.result = Some(output);
                 CancelStatus::Continue
@@ -558,19 +562,6 @@ impl Engine for DistEngine {
 
     fn finish(self, _graph: &CsrGraph, summary: RunSummary) -> DistApspOutput {
         let mut output = self.result.expect("run_rows() did not complete");
-        if let Some(cap) = self.cap {
-            let n = output.dist.n();
-            let full = std::mem::replace(&mut output.dist, DistanceMatrix::new_infinite(0));
-            let mut data = full.into_raw();
-            for i in 0..n {
-                for j in 0..n {
-                    if i != j && data[i * n + j] > cap {
-                        data[i * n + j] = INF;
-                    }
-                }
-            }
-            output.dist = DistanceMatrix::from_raw(n, data);
-        }
         output.elapsed = summary.timings.total;
         output
     }
@@ -647,6 +638,7 @@ fn open_prior(
 fn run_cluster(
     graph: &CsrGraph,
     config: ClusterConfig,
+    kernel: KernelOptions,
     token: Option<&CancelToken>,
     resume: Option<Checkpoint>,
 ) -> RunOutcome<DistApspOutput> {
@@ -717,13 +709,13 @@ fn run_cluster(
     }
 
     match config.transport.clone() {
-        TransportSpec::InProcess => {
-            run_cluster_channels(graph, &config, token, n, &is_hub, &owned, driver, start)
-        }
+        TransportSpec::InProcess => run_cluster_channels(
+            graph, &config, kernel, token, &is_hub, &owned, driver, start,
+        ),
         TransportSpec::Socket(socket) => {
             let identity = (run_id, epoch);
             run_cluster_socket(
-                graph, &config, &socket, token, n, &is_hub, &owned, driver, identity, start,
+                graph, &config, kernel, &socket, token, &is_hub, &owned, driver, identity, start,
             )
         }
     }
@@ -834,14 +826,14 @@ fn drive_with_chaos<T: Transport>(
 fn run_cluster_channels(
     graph: &CsrGraph,
     config: &ClusterConfig,
+    kernel: KernelOptions,
     token: Option<&CancelToken>,
-    n: usize,
     is_hub: &[bool],
     owned: &[Vec<u32>],
     mut driver: Driver,
     start: Instant,
 ) -> RunOutcome<DistApspOutput> {
-    let nodes = config.nodes;
+    let (n, nodes) = (graph.vertex_count(), config.nodes);
     let mut control_senders = Vec::with_capacity(nodes);
     let mut control_receivers = Vec::with_capacity(nodes);
     let mut gather_senders = Vec::with_capacity(nodes);
@@ -885,6 +877,7 @@ fn run_cluster_channels(
                             nodes,
                             plan,
                             retry,
+                            kernel,
                             token,
                             Duration::ZERO,
                             &mut io,
@@ -929,16 +922,16 @@ fn run_cluster_channels(
 fn run_cluster_socket(
     graph: &CsrGraph,
     config: &ClusterConfig,
+    kernel: KernelOptions,
     socket: &SocketConfig,
     token: Option<&CancelToken>,
-    n: usize,
     is_hub: &[bool],
     owned: &[Vec<u32>],
     mut driver: Driver,
     identity: (u64, u32),
     start: Instant,
 ) -> RunOutcome<DistApspOutput> {
-    let nodes = config.nodes;
+    let (n, nodes) = (graph.vertex_count(), config.nodes);
     let (run_id, epoch) = identity;
     let hubs: Vec<u32> = (0..n as u32).filter(|&v| is_hub[v as usize]).collect();
     let setups: Vec<WorkerSetup> = (0..nodes)
@@ -950,6 +943,7 @@ fn run_cluster_socket(
             heartbeat_ms: u64::try_from(socket.heartbeat_interval.as_millis()).unwrap_or(u64::MAX),
             row_batch: socket.row_batch as u32,
             retry: config.retry,
+            kernel,
             hubs: hubs.clone(),
             owned: owned[k].clone(),
             faults: config.faults.clone(),
@@ -1298,6 +1292,7 @@ pub(crate) fn run_node_loop<IO: NodeIo>(
     nodes: usize,
     plan: &FaultPlan,
     retry: &RetryPolicy,
+    kernel: KernelOptions,
     token: Option<&CancelToken>,
     source_delay: Duration,
     io: &mut IO,
@@ -1306,7 +1301,7 @@ pub(crate) fn run_node_loop<IO: NodeIo>(
     let crash_after = plan.crash_after(k);
     let stall = plan.stall_after(k);
     let mut stalled = false;
-    let mut state = NodeState::new(n, initial);
+    let mut state = NodeState::new(graph, kernel);
     let mut pending: VecDeque<u32> = initial.iter().copied().collect();
     let mut stats = NodeStats::default();
     // Delivery attempt per source, so re-sends draw fresh fault decisions.
@@ -1414,8 +1409,7 @@ pub(crate) fn run_node_loop<IO: NodeIo>(
         io.send_row(seal_gather_row(k, s, &row, attempts[s as usize], plan));
     }
 
-    stats.local_reuses = state.local_reuses;
-    stats.remote_reuses = state.remote_reuses;
+    (stats.local_reuses, stats.remote_reuses) = state.reuses();
     stats.rows_rejected = state.rows_rejected;
     stats
 }
@@ -1455,7 +1449,6 @@ fn handle_control<IO: NodeIo>(
             if pending.contains(&s) {
                 return false;
             }
-            state.assign(s);
             pending.push_back(s);
             stats.reassigned_sources += 1;
             false
@@ -1504,6 +1497,7 @@ mod tests {
     use super::*;
     use parapsp_core::baselines::apsp_dijkstra;
     use parapsp_core::engine::Runner;
+    use parapsp_core::INF;
     use parapsp_graph::generate::{barabasi_albert, erdos_renyi_gnm, WeightSpec};
     use parapsp_graph::Direction;
 

@@ -1,7 +1,11 @@
-//! The per-node worker: private rows, a local modified-Dijkstra kernel,
-//! and the hub-row mailbox.
+//! The per-node worker: private rows, the core row solver, and the
+//! hub-row mailbox.
 //!
-//! Unlike the shared-memory kernel in `parapsp-core`, a node is
+//! A node runs the very row solver of the shared-memory engines
+//! ([`RowSolver`], resolved from the run's [`KernelOptions`]), reading
+//! finished rows from its own table of computed and received rows
+//! instead of a `Store`. So `--solver`, `--relax` and `--cap` act inside
+//! every worker, and a capped row does less work. A node is
 //! single-threaded over its own memory, so everything here is safe code —
 //! the distributed setting trades the publication protocol for explicit
 //! messages. Every row that crosses the simulated wire carries an FNV-1a
@@ -9,11 +13,12 @@
 //! corrupted payload can never poison the reuse pools or the gathered
 //! matrix.
 
-use std::collections::VecDeque;
+use std::cell::Cell;
 
-use parapsp_core::relax::{relax_row, RelaxImpl};
+use parapsp_core::kernel::{KernelOptions, Workspace};
+use parapsp_core::solver::RowSolver;
+use parapsp_core::{Counters, FinishedRows, RowLease};
 use parapsp_graph::{CsrGraph, INF};
-use parapsp_parfor::BitSet;
 
 /// FNV-1a over the source id and the row payload. This is the very same
 /// function the run ledger stamps on its records, so a row journaled by
@@ -55,151 +60,123 @@ impl RowMessage {
     }
 }
 
-/// Private per-node state: the rows this node owns plus whatever remote
-/// hub rows have arrived.
+/// A node's finished rows, by global source: the ones it computed and
+/// the hub rows it received. The row solver reads them through
+/// [`FinishedRows`], which counts local and remote reuses apart.
+struct RowTable {
+    rows: Vec<Option<Vec<u32>>>,
+    /// Which of `rows` this node computed itself.
+    local: Vec<bool>,
+    local_reuses: Cell<u64>,
+    remote_reuses: Cell<u64>,
+}
+
+impl FinishedRows for RowTable {
+    fn lease_row(&self, t: u32) -> Option<RowLease<'_>> {
+        let row = self.rows[t as usize].as_deref()?;
+        let reuses = if self.local[t as usize] {
+            &self.local_reuses
+        } else {
+            &self.remote_reuses
+        };
+        reuses.set(reuses.get() + 1);
+        Some(RowLease::borrowed(row))
+    }
+
+    fn prefetch_row(&self, _t: u32) {}
+}
+
+/// Private per-node state: the row table, the resolved row solver and
+/// its scratch.
 pub(crate) struct NodeState {
-    n: usize,
-    /// Sources this node is responsible for, in assignment order.
-    owned: Vec<u32>,
-    /// `local_rows[i]` is the row of the i-th *owned* source (dense local
-    /// indexing); `None` until computed.
-    local_rows: Vec<Option<Vec<u32>>>,
-    /// Maps a global vertex to its local row slot, or `u32::MAX`.
-    local_slot: Vec<u32>,
-    /// Remote rows received from other nodes, indexed by global source.
-    remote_rows: Vec<Option<Vec<u32>>>,
-    /// Scratch: SPFA queue and in-queue bitmap.
-    queue: VecDeque<u32>,
-    in_queue: BitSet,
-    /// Local reuse counters (reported through `NodeStats`).
-    pub(crate) local_reuses: u64,
-    pub(crate) remote_reuses: u64,
+    table: RowTable,
+    solver: RowSolver,
+    ws: Workspace,
+    /// The solver's work counters over this node's rows.
+    pub(crate) counters: Counters,
     /// Received rows discarded for failing their checksum.
     pub(crate) rows_rejected: u64,
 }
 
 impl NodeState {
-    pub(crate) fn new(n: usize, owned_sources: &[u32]) -> Self {
-        let mut local_slot = vec![u32::MAX; n];
-        for (slot, &s) in owned_sources.iter().enumerate() {
-            local_slot[s as usize] = slot as u32;
-        }
+    /// A node of a run on `graph` solving rows under `options`.
+    pub(crate) fn new(graph: &CsrGraph, options: KernelOptions) -> Self {
+        let n = graph.vertex_count();
         NodeState {
-            n,
-            owned: owned_sources.to_vec(),
-            local_rows: vec![None; owned_sources.len()],
-            local_slot,
-            remote_rows: vec![None; n],
-            queue: VecDeque::new(),
-            in_queue: BitSet::new(n),
-            local_reuses: 0,
-            remote_reuses: 0,
+            table: RowTable {
+                rows: vec![None; n],
+                local: vec![false; n],
+                local_reuses: Cell::new(0),
+                remote_reuses: Cell::new(0),
+            },
+            solver: RowSolver::resolve(graph, options),
+            ws: Workspace::new(n),
+            counters: Counters::default(),
             rows_rejected: 0,
         }
     }
 
-    /// Takes ownership of an additional source at runtime (recovery: the
-    /// driver re-deals a crashed node's remaining work). No-op if the
-    /// source is already owned.
-    pub(crate) fn assign(&mut self, source: u32) {
-        if self.local_slot[source as usize] != u32::MAX {
-            return;
-        }
-        self.local_slot[source as usize] = self.local_rows.len() as u32;
-        self.local_rows.push(None);
-        self.owned.push(source);
+    /// Row-reuse events against the node's own rows and against received
+    /// ones.
+    pub(crate) fn reuses(&self) -> (u64, u64) {
+        (
+            self.table.local_reuses.get(),
+            self.table.remote_reuses.get(),
+        )
     }
 
     /// Stores a received remote row after verifying its checksum; a
-    /// corrupted row is counted and dropped.
+    /// corrupted row is counted and dropped, and a row this node computed
+    /// itself is kept.
     pub(crate) fn accept(&mut self, message: RowMessage) {
-        debug_assert_eq!(message.row.len(), self.n);
+        debug_assert_eq!(message.row.len(), self.table.rows.len());
         if !message.verify() {
             self.rows_rejected += 1;
             return;
         }
-        self.remote_rows[message.source as usize] = Some(message.row);
+        let s = message.source as usize;
+        if !self.table.local[s] {
+            self.table.rows[s] = Some(message.row);
+        }
     }
 
-    /// The stored row of owned source `s`, if already computed (used to
-    /// re-send a gather row the driver rejected).
+    /// The row of source `s`, if this node computed it (used to re-send a
+    /// gather row the driver rejected).
     pub(crate) fn row_for(&self, s: u32) -> Option<&[u32]> {
-        let slot = self.local_slot[s as usize];
-        if slot == u32::MAX {
-            return None;
+        if self.table.local[s as usize] {
+            self.table.rows[s as usize].as_deref()
+        } else {
+            None
         }
-        self.local_rows[slot as usize].as_deref()
     }
 
-    /// A completed row for `t`, if this node has one (own or remote).
-    fn completed_row(&self, t: u32) -> Option<(&[u32], bool)> {
-        let slot = self.local_slot[t as usize];
-        if slot != u32::MAX {
-            if let Some(row) = self.local_rows[slot as usize].as_deref() {
-                return Some((row, true));
-            }
-        }
-        self.remote_rows[t as usize]
-            .as_deref()
-            .map(|row| (row, false))
-    }
-
-    /// Runs the modified Dijkstra for owned source `s`, storing the row
+    /// Solves source `s` with the run's row solver, storing the row
     /// locally and returning a reference to it.
     pub(crate) fn run_source(&mut self, graph: &CsrGraph, s: u32) -> &[u32] {
-        let n = self.n;
-        let mut row = vec![INF; n];
-        row[s as usize] = 0;
-        // Local counters sidestep the borrow of `self` held by
-        // `completed_row` inside the loop.
-        let mut local_reuses = 0u64;
-        let mut remote_reuses = 0u64;
-        let relax_impl = RelaxImpl::Auto.resolve();
-        self.queue.push_back(s);
-        self.in_queue.set(s as usize);
-        while let Some(t) = self.queue.pop_front() {
-            self.in_queue.clear(t as usize);
-            let dt = row[t as usize];
-            if t != s {
-                if let Some((t_row, local)) = self.completed_row(t) {
-                    if local {
-                        local_reuses += 1;
-                    } else {
-                        remote_reuses += 1;
-                    }
-                    relax_row(relax_impl, &mut row, t_row, dt, u32::MAX);
-                    continue;
-                }
-            }
-            for (v, w) in graph.out_edges(t) {
-                let alt = dt.saturating_add(w);
-                if alt < row[v as usize] {
-                    row[v as usize] = alt;
-                    if !self.in_queue.get(v as usize) {
-                        self.queue.push_back(v);
-                        self.in_queue.set(v as usize);
-                    }
-                }
-            }
-        }
-        self.local_reuses += local_reuses;
-        self.remote_reuses += remote_reuses;
-        let slot = self.local_slot[s as usize];
-        debug_assert_ne!(slot, u32::MAX, "run_source on a non-owned source");
-        let slot = slot as usize;
-        self.local_rows[slot] = Some(row);
-        self.local_rows[slot].as_deref().expect("just stored")
+        let mut row = vec![INF; self.table.rows.len()];
+        self.solver.solve_row(
+            graph,
+            s,
+            &self.table,
+            &mut row,
+            &mut self.ws,
+            &mut self.counters,
+            None,
+        );
+        self.table.local[s as usize] = true;
+        self.table.rows[s as usize].insert(row)
     }
 
     /// Consumes the node, yielding `(global_source, row)` pairs for every
-    /// *computed* owned source. The cluster driver streams rows instead;
-    /// this stays for direct inspection in tests.
+    /// row it computed. The cluster driver streams rows instead; this
+    /// stays for direct inspection in tests.
     #[cfg(test)]
     pub(crate) fn into_rows(self) -> Vec<(u32, Vec<u32>)> {
-        self.owned
-            .iter()
-            .zip(self.local_rows)
-            .filter_map(|(&s, row)| row.map(|row| (s, row)))
+        let local = self.table.local;
+        (0..)
+            .zip(self.table.rows)
+            .filter(|&(s, _)| local[s as usize])
+            .filter_map(|(s, row)| row.map(|row| (s, row)))
             .collect()
     }
 }
@@ -207,14 +184,14 @@ impl NodeState {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use parapsp_graph::generate::path_graph;
+    use parapsp_core::baselines::dijkstra_sssp;
+    use parapsp_graph::generate::{barabasi_albert, path_graph, WeightSpec};
     use parapsp_graph::Direction;
 
     #[test]
     fn single_node_computes_exact_rows() {
         let g = path_graph(5, Direction::Undirected);
-        let owned: Vec<u32> = (0..5).collect();
-        let mut node = NodeState::new(5, &owned);
+        let mut node = NodeState::new(&g, KernelOptions::default());
         for s in 0..5u32 {
             node.run_source(&g, s);
         }
@@ -230,13 +207,13 @@ mod tests {
     #[test]
     fn remote_rows_are_reused() {
         let g = parapsp_graph::generate::complete_graph(6);
-        // Node owns only source 3; receives row of 0 from "elsewhere".
-        let mut node = NodeState::new(6, &[3]);
+        // Node solves only source 3; receives row of 0 from "elsewhere".
+        let mut node = NodeState::new(&g, KernelOptions::default());
         let mut remote = vec![1u32; 6];
         remote[0] = 0;
         node.accept(RowMessage::new(0, remote));
         node.run_source(&g, 3);
-        assert_eq!(node.remote_reuses, 1);
+        assert_eq!(node.reuses(), (0, 1));
         let rows = node.into_rows();
         assert_eq!(rows[0].1[0], 1);
         assert_eq!(rows[0].1[3], 0);
@@ -245,7 +222,7 @@ mod tests {
     #[test]
     fn corrupted_remote_row_is_rejected_not_reused() {
         let g = parapsp_graph::generate::complete_graph(6);
-        let mut node = NodeState::new(6, &[3]);
+        let mut node = NodeState::new(&g, KernelOptions::default());
         let mut remote = vec![1u32; 6];
         remote[0] = 0;
         let mut message = RowMessage::new(0, remote);
@@ -253,22 +230,61 @@ mod tests {
         node.accept(message);
         assert_eq!(node.rows_rejected, 1);
         node.run_source(&g, 3);
-        assert_eq!(node.remote_reuses, 0, "rejected row must not be reused");
+        assert_eq!(node.reuses().1, 0, "rejected row must not be reused");
     }
 
     #[test]
     fn runtime_assignment_extends_ownership() {
+        // A node solves whatever it is dealt: its initial share, or a
+        // source re-dealt to it mid-run.
         let g = path_graph(4, Direction::Undirected);
-        let mut node = NodeState::new(4, &[0]);
-        node.assign(2);
-        node.assign(2); // idempotent
+        let mut node = NodeState::new(&g, KernelOptions::default());
         node.run_source(&g, 0);
         node.run_source(&g, 2);
         assert_eq!(node.row_for(2), Some(&[2u32, 1, 0, 1][..]));
+        assert_eq!(node.row_for(1), None);
         let mut rows = node.into_rows();
         rows.sort_by_key(|&(s, _)| s);
         assert_eq!(rows.len(), 2);
         assert_eq!(rows[1].0, 2);
+    }
+
+    #[test]
+    fn capped_sweep_relaxes_less_and_matches_post_filtered_rows() {
+        // The cap acts inside the node's solver, so a capped sweep does
+        // strictly less work than an uncapped one, and each row is the
+        // exact row post-filtered at the cap.
+        let g = barabasi_albert(200, 3, WeightSpec::Uniform { lo: 1, hi: 9 }, 17).unwrap();
+        let cap = 6;
+        let sweep = |max_distance| {
+            let options = KernelOptions {
+                max_distance,
+                ..KernelOptions::default()
+            };
+            let mut node = NodeState::new(&g, options);
+            for s in 0..200 {
+                node.run_source(&g, s);
+            }
+            node
+        };
+        let uncapped = sweep(None);
+        let capped = sweep(Some(cap));
+        assert!(
+            capped.counters.relaxations < uncapped.counters.relaxations,
+            "capped {} vs uncapped {} relaxations",
+            capped.counters.relaxations,
+            uncapped.counters.relaxations
+        );
+        let mut exact = vec![0; 200];
+        for s in 0..200 {
+            dijkstra_sssp(&g, s, &mut exact);
+            assert_eq!(uncapped.row_for(s), Some(&exact[..]), "source {s}");
+            let filtered: Vec<u32> = exact
+                .iter()
+                .map(|&d| if d > cap { INF } else { d })
+                .collect();
+            assert_eq!(capped.row_for(s), Some(&filtered[..]), "source {s}");
+        }
     }
 
     #[test]

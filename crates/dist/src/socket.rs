@@ -762,6 +762,47 @@ mod tests {
 
     #[cfg(unix)]
     #[test]
+    fn a_v2_hello_is_refused_naming_both_versions() {
+        // A v2 worker would solve rows without the run's kernel options;
+        // the handshake refuses it before shipping a Setup.
+        let (driver_end, worker_end) = UnixStream::pair().unwrap();
+        let mut worker = WireStream::Unix(worker_end);
+        let hello = Frame::Hello {
+            version: 2,
+            reconnects: 0,
+            run_id: 0,
+            epoch: 0,
+        };
+        write_frame(&mut worker, &hello).unwrap();
+        let setup = WorkerSetup {
+            node_id: 0,
+            nodes: 1,
+            run_id: 1,
+            epoch: 0,
+            heartbeat_ms: 10,
+            row_batch: 1,
+            retry: crate::cluster::RetryPolicy::default(),
+            kernel: parapsp_core::kernel::KernelOptions::default(),
+            hubs: Vec::new(),
+            owned: vec![0],
+            faults: FaultPlan::default(),
+            graph: barabasi_albert(10, 2, WeightSpec::Unit, 1).unwrap(),
+        };
+        let config = fast_socket(WorkerMode::External);
+        let err = handshake(WireStream::Unix(driver_end), &setup, &config)
+            .err()
+            .expect("a v2 worker must be refused");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert_eq!(PROTOCOL_VERSION, 3);
+        assert!(
+            err.to_string()
+                .contains("worker speaks protocol v2, driver v3"),
+            "{err}"
+        );
+    }
+
+    #[cfg(unix)]
+    #[test]
     fn a_worker_that_never_connects_is_dead_at_start() {
         let path = temp_sock("missing");
         let addr = path.display().to_string();

@@ -16,6 +16,8 @@
 
 use std::io::{self, Read, Write};
 
+use parapsp_core::kernel::KernelOptions;
+use parapsp_core::{RelaxImpl, SolverKind};
 use parapsp_graph::{CsrGraph, Direction};
 
 use crate::cluster::{NodeStats, RetryPolicy};
@@ -29,8 +31,10 @@ pub(crate) const MAGIC: u8 = 0xA5;
 /// Bumped on any incompatible change to the frame layout; the driver
 /// rejects workers announcing a different version during the handshake.
 /// Version 2 added the run-id/epoch fields to `Hello` and `Setup` for
-/// driver-restart re-handshakes.
-pub(crate) const PROTOCOL_VERSION: u16 = 2;
+/// driver-restart re-handshakes; version 3 added the run's kernel options
+/// to `Setup`, so workers solve rows under the run's cap, relax
+/// implementation and solver.
+pub(crate) const PROTOCOL_VERSION: u16 = 3;
 
 /// Upper bound on a single frame payload (defense against a corrupt or
 /// hostile length prefix allocating unbounded memory).
@@ -70,6 +74,9 @@ pub(crate) struct WorkerSetup {
     pub row_batch: u32,
     /// Re-send pacing, identical to the driver's.
     pub retry: RetryPolicy,
+    /// The run's kernel options: every worker's row solver runs under
+    /// them.
+    pub kernel: KernelOptions,
     /// Sources whose completed rows are broadcast cluster-wide.
     pub hubs: Vec<u32>,
     /// Sources this worker owns initially, in assignment order.
@@ -224,6 +231,47 @@ fn take_graph(buf: &mut &[u8]) -> Option<CsrGraph> {
     CsrGraph::from_edges(n, direction, &edges).ok()
 }
 
+/// Kernel options on the wire: the two switches, a cap flag and the cap,
+/// the relax implementation's index, the solver's tag and its Δ.
+fn put_kernel(out: &mut Vec<u8>, kernel: &KernelOptions) {
+    out.push(u8::from(kernel.row_reuse));
+    out.push(u8::from(kernel.dedup_queue));
+    out.push(u8::from(kernel.max_distance.is_some()));
+    out.extend_from_slice(&kernel.max_distance.unwrap_or(0).to_le_bytes());
+    let relax = RelaxImpl::ALL.iter().position(|&r| r == kernel.relax);
+    out.push(relax.expect("every relax impl is listed") as u8);
+    let (solver, delta) = match kernel.solver {
+        SolverKind::Dijkstra => (0, 0),
+        SolverKind::Delta { delta: None } => (1, 0),
+        SolverKind::Delta { delta: Some(d) } => (2, d),
+        SolverKind::Auto => (3, 0),
+    };
+    out.push(solver);
+    out.extend_from_slice(&delta.to_le_bytes());
+}
+
+fn take_kernel(buf: &mut &[u8]) -> Option<KernelOptions> {
+    let row_reuse = take_u8(buf)? != 0;
+    let dedup_queue = take_u8(buf)? != 0;
+    let capped = take_u8(buf)? != 0;
+    let cap = take_u32(buf)?;
+    let relax = *RelaxImpl::ALL.get(take_u8(buf)? as usize)?;
+    let solver = match (take_u8(buf)?, take_u32(buf)?) {
+        (0, _) => SolverKind::Dijkstra,
+        (1, _) => SolverKind::Delta { delta: None },
+        (2, d) => SolverKind::Delta { delta: Some(d) },
+        (3, _) => SolverKind::Auto,
+        _ => return None,
+    };
+    Some(KernelOptions {
+        row_reuse,
+        dedup_queue,
+        max_distance: capped.then_some(cap),
+        relax,
+        solver,
+    })
+}
+
 fn put_stats(out: &mut Vec<u8>, stats: &NodeStats) {
     for v in [
         stats.sources,
@@ -286,6 +334,7 @@ impl Frame {
                 out.extend_from_slice(&setup.retry.max_resends.to_le_bytes());
                 out.extend_from_slice(&setup.retry.base_ms.to_le_bytes());
                 out.extend_from_slice(&setup.retry.cap_ms.to_le_bytes());
+                put_kernel(&mut out, &setup.kernel);
                 put_u32_vec(&mut out, &setup.hubs);
                 put_u32_vec(&mut out, &setup.owned);
                 setup.faults.encode(&mut out);
@@ -348,6 +397,7 @@ impl Frame {
                     base_ms: take_u64(buf)?,
                     cap_ms: take_u64(buf)?,
                 },
+                kernel: take_kernel(buf)?,
                 hubs: take_u32_vec(buf)?,
                 owned: take_u32_vec(buf)?,
                 faults: FaultPlan::decode(buf)?,
@@ -534,6 +584,13 @@ mod tests {
             heartbeat_ms: 25,
             row_batch: 8,
             retry: RetryPolicy::default(),
+            kernel: KernelOptions {
+                row_reuse: false,
+                dedup_queue: false,
+                max_distance: Some(4),
+                relax: RelaxImpl::Scalar,
+                solver: SolverKind::Delta { delta: Some(7) },
+            },
             hubs: vec![3, 1, 4],
             owned: vec![2, 6, 10],
             faults: FaultPlan::seeded(9)
@@ -553,6 +610,7 @@ mod tests {
         assert_eq!(decoded.heartbeat_ms, 25);
         assert_eq!(decoded.row_batch, 8);
         assert_eq!(decoded.retry, setup.retry);
+        assert_eq!(decoded.kernel, setup.kernel);
         assert_eq!(decoded.hubs, setup.hubs);
         assert_eq!(decoded.owned, setup.owned);
         assert_eq!(decoded.faults, setup.faults);
@@ -565,6 +623,36 @@ mod tests {
         a.sort_unstable();
         b.sort_unstable();
         assert_eq!(a, b);
+        // Every kernel option value crosses the wire intact.
+        let solvers = [
+            SolverKind::Dijkstra,
+            SolverKind::Delta { delta: None },
+            SolverKind::Delta { delta: Some(1) },
+            SolverKind::Auto,
+        ];
+        for solver in solvers {
+            for relax in RelaxImpl::ALL {
+                for max_distance in [None, Some(0), Some(u32::MAX)] {
+                    for flags in [(true, true), (false, true), (true, false)] {
+                        let kernel = KernelOptions {
+                            row_reuse: flags.0,
+                            dedup_queue: flags.1,
+                            max_distance,
+                            relax,
+                            solver,
+                        };
+                        let sent = WorkerSetup {
+                            kernel,
+                            ..setup.clone()
+                        };
+                        let Frame::Setup(got) = roundtrip(&Frame::Setup(Box::new(sent))) else {
+                            panic!("setup decoded as a different kind");
+                        };
+                        assert_eq!(got.kernel, kernel);
+                    }
+                }
+            }
+        }
     }
 
     #[test]

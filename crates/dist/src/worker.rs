@@ -304,6 +304,7 @@ pub fn run_worker(addr: &str, options: WorkerOptions) -> Result<WorkerOutcome, S
         setup.nodes as usize,
         &setup.faults,
         &setup.retry,
+        setup.kernel,
         None,
         options.source_delay,
         &mut io,

@@ -4,9 +4,10 @@
 //!
 //! Capped runs are compared against the *post-filtered* exact matrix:
 //! because every capped entry is either the exact distance (≤ cap) or
-//! unreachable, applying the cap inside the kernel, as a finish-time
-//! post-filter (BlockedFW, Dist), or to the finished exact matrix all
-//! produce identical bits.
+//! unreachable, applying the cap inside the kernel (the row engines,
+//! subset rows and the dist workers), as a finish-time post-filter
+//! (BlockedFW), or to the finished exact matrix all produce identical
+//! bits.
 
 use parapsp::core::{
     ApspEngine, BlockedFwEngine, DistanceMatrix, EngineKind, RunConfig, Runner, SeqEngine,
@@ -205,7 +206,8 @@ fn every_schedule_matches_seq_basic_on_every_fixture() {
 /// Solver axis: the per-source SSSP solver decides the *order* of
 /// relaxations inside one row, never the distances — every solver must be
 /// bit-identical to seq-basic on every fixture, through the parallel,
-/// sequential and adaptive configurations, uncapped and capped. `auto`
+/// sequential, adaptive, subset and dist (2 nodes, whose workers run the
+/// same solver) configurations, uncapped and capped. `auto`
 /// resolves against each
 /// graph at engine prepare time, so this also proves that whatever the
 /// tuner picks passes the oracle.
@@ -272,6 +274,33 @@ fn every_solver_matches_seq_basic_on_every_fixture() {
                         &full,
                         &out.dist,
                     );
+                }
+                let cluster = DistEngine::new(ClusterConfig {
+                    nodes: 2,
+                    ..Default::default()
+                });
+                let out = Runner::new(with_cap(RunConfig::new(1)).with_solver(solver))
+                    .run(cluster, &graph);
+                assert_matrix(
+                    &format!("dist[{}]", solver.label()),
+                    fixture,
+                    cap,
+                    &full,
+                    &out.dist,
+                );
+                let sources: Vec<u32> = (0..graph.vertex_count() as u32).collect();
+                let rows = Runner::new(with_cap(RunConfig::subset(3)).with_solver(solver))
+                    .run(SubsetEngine::new(sources), &graph);
+                for u in 0..graph.vertex_count() as u32 {
+                    let row = rows.row_of(u).expect("every source requested");
+                    for v in 0..graph.vertex_count() as u32 {
+                        assert_eq!(
+                            row[v as usize],
+                            expected(&full, u, v, cap),
+                            "subset[{}] on {fixture} (cap {cap:?}) differs at ({u}, {v})",
+                            solver.label()
+                        );
+                    }
                 }
             }
         }
