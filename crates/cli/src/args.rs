@@ -28,7 +28,6 @@ const VALUED: &[&str] = &[
     "--out",
     "--nodes",
     "--hub-fraction",
-    "--weights",
     "--cap",
     "--relax",
     "--solver",
@@ -65,6 +64,75 @@ const VALUED: &[&str] = &[
 /// misspelt option fails instead of being silently ignored.
 const BARE: &[&str] = &["--directed", "--undirected", "--external", "--help"];
 
+/// How a graph file is read: every command with a `<file>` argument.
+const GRAPH_INPUT: &[&str] = &["--format", "--directed", "--undirected"];
+
+/// What `apsp` (alias `run`) reads beyond the graph input.
+const APSP: &[&str] = &[
+    "--threads",
+    "--algorithm",
+    "--out",
+    "--nodes",
+    "--hub-fraction",
+    "--partition",
+    "--cap",
+    "--relax",
+    "--solver",
+    "--store",
+    "--schedule",
+    "--credit-weight",
+    "--block",
+    "--checkpoint",
+    "--ledger",
+    "--checkpoint-every",
+    "--ledger-fsync",
+    "--resume",
+    "--deadline",
+    "--on-interrupt",
+    "--fault-seed",
+    "--crash",
+    "--drop-prob",
+    "--corrupt-prob",
+    "--transport",
+    "--listen",
+    "--external",
+    "--heartbeat",
+    "--heartbeat-misses",
+    "--row-batch",
+    "--accept-timeout",
+    "--read-timeout",
+    "--write-timeout",
+    "--delay-ms",
+];
+
+/// The options each command reads; `--help` goes with every command.
+/// An option outside its command's set is a usage error rather than
+/// silently ignored (`stats --cap 3` applied no cap, `generate
+/// --checkpoint x.led` wrote no ledger).
+const COMMAND_OPTIONS: &[(&str, &[&[&str]])] = &[
+    ("stats", &[GRAPH_INPUT]),
+    ("apsp", &[GRAPH_INPUT, APSP]),
+    ("run", &[GRAPH_INPUT, APSP]),
+    ("analyze", &[GRAPH_INPUT, &["--threads", "--top"]]),
+    ("path", &[GRAPH_INPUT, &["--threads"]]),
+    ("estimate", &[GRAPH_INPUT, &["--threads", "--top"]]),
+    (
+        "generate",
+        &[&["--model", "--n", "--m", "--p", "--seed", "--out"]],
+    ),
+    (
+        "node",
+        &[&[
+            "--connect",
+            "--connect-attempts",
+            "--write-timeout",
+            "--delay-ms",
+        ]],
+    ),
+    ("help", &[]),
+    ("", &[]),
+];
+
 impl Args {
     /// Parses raw arguments (excluding the program name).
     pub fn parse(raw: impl IntoIterator<Item = String>) -> Result<Args, String> {
@@ -89,6 +157,46 @@ impl Args {
             }
         }
         Ok(args)
+    }
+
+    /// Rejects any option the command does not read, naming the option
+    /// and the command. Commands outside the table are left to the
+    /// dispatcher, which reports them as unknown.
+    pub fn check_command_options(&self) -> Result<(), String> {
+        let Some((_, groups)) = COMMAND_OPTIONS
+            .iter()
+            .find(|(command, _)| *command == self.command)
+        else {
+            return Ok(());
+        };
+        let accepts = |name: &str| {
+            name == "help"
+                || groups
+                    .iter()
+                    .flat_map(|group| group.iter())
+                    .any(|o| &o[2..] == name)
+        };
+        let mut given: Vec<&str> = self
+            .options
+            .keys()
+            .chain(&self.flags)
+            .map(String::as_str)
+            .filter(|name| !accepts(name))
+            .collect();
+        given.sort_unstable();
+        match given.first() {
+            None => Ok(()),
+            Some(name) => {
+                let command = if self.command.is_empty() {
+                    "parapsp"
+                } else {
+                    &self.command
+                };
+                Err(format!(
+                    "option --{name} does not apply to `{command}` (see `parapsp help`)"
+                ))
+            }
+        }
     }
 
     /// The value of `--name`, if present.
@@ -213,6 +321,59 @@ mod tests {
         // The known bare flags still parse.
         let args = parse(&["apsp", "g.txt", "--undirected", "--external", "--help"]);
         assert!(args.flag("undirected") && args.flag("external") && args.flag("help"));
+    }
+
+    #[test]
+    fn each_command_rejects_options_it_does_not_read() {
+        let err = parse(&["stats", "g.txt", "--cap", "3"])
+            .check_command_options()
+            .unwrap_err();
+        assert!(err.contains("--cap") && err.contains("`stats`"), "{err}");
+        let err = parse(&["generate", "--n", "100", "--checkpoint", "x.led"])
+            .check_command_options()
+            .unwrap_err();
+        assert!(
+            err.contains("--checkpoint") && err.contains("`generate`"),
+            "{err}"
+        );
+        let err = parse(&["node", "--connect", "a.sock", "--directed"])
+            .check_command_options()
+            .unwrap_err();
+        assert!(
+            err.contains("--directed") && err.contains("`node`"),
+            "{err}"
+        );
+        for ok in [
+            &["stats", "g.txt", "--directed", "--format", "konect"][..],
+            &[
+                "apsp",
+                "g.txt",
+                "--cap",
+                "3",
+                "--checkpoint",
+                "r.led",
+                "--external",
+            ],
+            &["run", "g.txt", "--store", "delta", "--help"],
+            &["analyze", "g.txt", "--top", "3", "--threads", "2"],
+            &["estimate", "g.txt", "1", "2", "--top", "4", "--undirected"],
+            &[
+                "generate", "--model", "er", "--n", "10", "--p", "0.5", "--out", "g.txt",
+            ],
+            &[
+                "node",
+                "--connect",
+                "a.sock",
+                "--delay-ms",
+                "5",
+                "--write-timeout",
+                "9",
+            ],
+            // Unknown commands are the dispatcher's to report.
+            &["frobnicate", "--cap", "3"],
+        ] {
+            parse(ok).check_command_options().unwrap();
+        }
     }
 
     #[test]

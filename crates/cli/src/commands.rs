@@ -23,10 +23,38 @@ use parapsp_graph::io::{read_edge_list_file, LoadedGraph, ParseOptions};
 use parapsp_graph::{degree, transform, CsrGraph, Direction};
 use parapsp_parfor::{CancelToken, Schedule, ThreadPool};
 
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
 
 use crate::args::Args;
 use crate::interrupt;
+
+/// Set once stdout's reader has gone away; later report lines are dropped.
+static STDOUT_CLOSED: AtomicBool = AtomicBool::new(false);
+
+/// Writes one line of a command's report to stdout. A reader that closes
+/// the pipe early (`parapsp apsp g.txt | head -1`) is not an error: the
+/// rest of the report is dropped and the command carries on, so its
+/// `--out` file is still written and it exits with its own status.
+pub fn say_line(line: std::fmt::Arguments<'_>) {
+    use std::io::Write;
+    if STDOUT_CLOSED.load(Ordering::Relaxed) {
+        return;
+    }
+    if let Err(e) = writeln!(std::io::stdout(), "{line}") {
+        STDOUT_CLOSED.store(true, Ordering::Relaxed);
+        if e.kind() != std::io::ErrorKind::BrokenPipe {
+            eprintln!("warning: writing to stdout: {e}; dropping the rest of the report");
+        }
+    }
+}
+
+/// `println!` for command reports, through [`say_line`].
+macro_rules! say {
+    ($($arg:tt)*) => {
+        say_line(format_args!($($arg)*))
+    };
+}
 
 /// A command failure, split by exit code: *usage* errors (bad flag values,
 /// rejected configurations — exit 2, matching the argument parser) versus
@@ -88,10 +116,12 @@ commands:
   node                       socket worker for a `dist` driver (see below)
   help                       this text
 
-common options:
+common options (each command rejects options it does not read, exit 2):
   --directed | --undirected  edge interpretation (default: undirected)
   --format <snap|konect>     comment style (default: snap)
-  --threads <N>              worker threads (default: 4)
+  --threads <N>              worker threads for apsp, analyze, path and
+                             estimate (default: 4)
+  --help                     this text, after any command
 
 apsp options:
   --algorithm <name>         par-apsp | par-alg1 | par-alg2 | par-adaptive |
@@ -246,7 +276,7 @@ fn check_matrix_budget(n: usize) -> Result<(), String> {
 pub fn stats(args: &Args) -> Result<(), String> {
     let loaded = load(args)?;
     let g = &loaded.graph;
-    println!(
+    say!(
         "{}: {} vertices, {} edges ({})",
         args.positional(0).unwrap_or("-"),
         g.vertex_count(),
@@ -259,26 +289,29 @@ pub fn stats(args: &Args) -> Result<(), String> {
     );
     let degrees = degree::out_degrees(g);
     if let Some(s) = degree::degree_stats(&degrees) {
-        println!(
+        say!(
             "degree: min {} / median {} / mean {:.2} / max {}",
-            s.min, s.median, s.mean, s.max
+            s.min,
+            s.median,
+            s.mean,
+            s.max
         );
     }
     let (_, components) = weakly_connected_components(g);
-    println!("weakly connected components: {components}");
+    say!("weakly connected components: {components}");
     let (lcc, _) = transform::largest_connected_component(g);
-    println!(
+    say!(
         "largest component: {} vertices ({:.1}%)",
         lcc.vertex_count(),
         lcc.vertex_count() as f64 / g.vertex_count().max(1) as f64 * 100.0
     );
     if !g.direction().is_directed() {
-        println!("average clustering: {:.4}", average_clustering(g));
+        say!("average clustering: {:.4}", average_clustering(g));
     }
-    println!("degree assortativity: {:+.4}", degree_assortativity(g));
-    println!("\ndegree distribution (log-binned):");
+    say!("degree assortativity: {:+.4}", degree_assortativity(g));
+    say!("\ndegree distribution (log-binned):");
     for (bin, count) in degree::log_binned_histogram(&degrees) {
-        println!("  >= {bin:<6} {count}");
+        say!("  >= {bin:<6} {count}");
     }
     Ok(())
 }
@@ -587,7 +620,7 @@ fn load_resume(args: &Args, graph: &CsrGraph) -> Result<Option<Checkpoint>, Stri
             graph.vertex_count()
         ));
     }
-    println!(
+    say!(
         "resuming: {} of {} rows already complete",
         cp.completed_count(),
         cp.n()
@@ -713,7 +746,7 @@ fn run_algorithm(
     let mut schedule = schedule;
     if solver == SolverKind::Auto && kind.uses_kernel() {
         let choice = autotune(graph);
-        println!(
+        say!(
             "auto-tune: solver {} schedule {} relax {} (n={} m={} \
              degree-skew={:.1} weights {}..{} diameter~{})",
             choice.solver.label(),
@@ -923,9 +956,9 @@ pub fn apsp(args: &Args) -> Result<i32, CliError> {
         RunStatus::Done(dist, summary) => (dist, summary),
         RunStatus::Stopped { code } => return Ok(code),
     };
-    println!("{summary}");
+    say!("{summary}");
     let stats = path_stats(&dist);
-    println!(
+    say!(
         "diameter {} / radius {} / avg path {:.3} / connectivity {:.1}%",
         stats.diameter,
         stats.radius,
@@ -940,7 +973,7 @@ pub fn apsp(args: &Args) -> Result<i32, CliError> {
         } else {
             persist::save_binary(&dist, out_path).map_err(|e| CliError::failure(e.to_string()))?;
         }
-        println!("distance matrix written to {out_path}");
+        say!("distance matrix written to {out_path}");
     }
     Ok(0)
 }
@@ -954,23 +987,24 @@ pub fn analyze(args: &Args) -> Result<(), String> {
     let top = args.get_parsed("top", 5usize)?;
 
     let out = Runner::new(RunConfig::par_apsp(threads)).run(ApspEngine::new(), g);
-    println!(
+    say!(
         "ParAPSP: {:?} on {} threads\n",
-        out.timings.total, out.threads
+        out.timings.total,
+        out.threads
     );
 
     let stats = path_stats(&out.dist);
-    println!(
+    say!(
         "diameter {} / radius {} / avg path {:.3} / connectivity {:.1}%",
         stats.diameter,
         stats.radius,
         stats.average_path_length,
         stats.connectivity() * 100.0
     );
-    println!("\ndistance distribution:");
+    say!("\ndistance distribution:");
     for (d, count) in distance_distribution(&out.dist).iter().enumerate().skip(1) {
         if *count > 0 {
-            println!("  {d}: {count}");
+            say!("  {d}: {count}");
         }
     }
 
@@ -978,9 +1012,9 @@ pub fn analyze(args: &Args) -> Result<(), String> {
     let closeness = closeness_centrality(&out.dist, Normalization::WassermanFaust);
     let harmonic = harmonic_centrality(&out.dist);
     let original = |v: u32| loaded.original_ids[v as usize];
-    println!("\ntop {top} by closeness:");
+    say!("\ntop {top} by closeness:");
     for v in top_k(&closeness, top) {
-        println!(
+        say!(
             "  vertex {} (file id {}): {:.4}  degree {}",
             v,
             original(v),
@@ -988,9 +1022,9 @@ pub fn analyze(args: &Args) -> Result<(), String> {
             degrees[v as usize]
         );
     }
-    println!("top {top} by harmonic centrality:");
+    say!("top {top} by harmonic centrality:");
     for v in top_k(&harmonic, top) {
-        println!(
+        say!(
             "  vertex {} (file id {}): {:.4}  degree {}",
             v,
             original(v),
@@ -1001,9 +1035,9 @@ pub fn analyze(args: &Args) -> Result<(), String> {
     if !g.direction().is_directed() && g.is_unit_weight() {
         let pool = ThreadPool::new(threads);
         let betweenness = betweenness_centrality(g, &pool);
-        println!("top {top} by betweenness:");
+        say!("top {top} by betweenness:");
         for v in top_k(&betweenness, top) {
-            println!(
+            say!(
                 "  vertex {} (file id {}): {:.1}  degree {}",
                 v,
                 original(v),
@@ -1037,7 +1071,7 @@ pub fn path(args: &Args) -> Result<(), String> {
     let result = par_apsp_with_paths(&loaded.graph, threads);
     match result.pred.path(src, dst) {
         Some(route) => {
-            println!(
+            say!(
                 "distance {} over {} hops:",
                 result.dist.get(src, dst),
                 route.len() - 1
@@ -1046,9 +1080,9 @@ pub fn path(args: &Args) -> Result<(), String> {
                 .iter()
                 .map(|&v| loaded.original_ids[v as usize].to_string())
                 .collect();
-            println!("  {}", labels.join(" -> "));
+            say!("  {}", labels.join(" -> "));
         }
-        None => println!("no path"),
+        None => say!("no path"),
     }
     Ok(())
 }
@@ -1088,9 +1122,9 @@ pub fn estimate(args: &Args) -> Result<(), String> {
     let lo = index.lower_bound(src, dst);
     let hi = index.upper_bound(src, dst);
     if hi == parapsp_graph::INF {
-        println!("no landmark reaches both endpoints (likely disconnected)");
+        say!("no landmark reaches both endpoints (likely disconnected)");
     } else {
-        println!(
+        say!(
             "d({}, {}) ∈ [{lo}, {hi}]  ({} hub landmarks, O(k·n) memory)",
             args.positional(1).unwrap_or("?"),
             args.positional(2).unwrap_or("?"),
@@ -1120,7 +1154,7 @@ pub fn generate(args: &Args) -> Result<(), String> {
     let file = std::fs::File::create(out_path).map_err(|e| format!("creating {out_path}: {e}"))?;
     parapsp_graph::io::write_edge_list(&graph, std::io::BufWriter::new(file))
         .map_err(|e| e.to_string())?;
-    println!(
+    say!(
         "wrote {} vertices / {} edges to {out_path}",
         graph.vertex_count(),
         graph.edge_count()

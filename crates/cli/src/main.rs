@@ -48,12 +48,23 @@ fn main() {
             std::process::exit(2);
         }
     };
+    if let Err(message) = parsed.check_command_options() {
+        eprintln!("error: {message}");
+        std::process::exit(2);
+    }
     // `apsp`/`run` report an exit code so interruption (130) and deadline
     // expiry (124) are distinguishable from success, runtime failures (1),
     // and usage errors (2 — same code as the argument parser above).
     use commands::CliError;
     let simple = |result: Result<(), String>| result.map(|()| 0).map_err(CliError::failure);
+    let usage = || {
+        commands::say_line(format_args!("{}", commands::USAGE.trim_end()));
+        Ok(0)
+    };
     let result = match parsed.command.as_str() {
+        // `--help` after any command shows the usage too.
+        "" | "help" | "-h" => usage(),
+        _ if parsed.flag("help") => usage(),
         "stats" => simple(commands::stats(&parsed)),
         "apsp" | "run" => commands::apsp(&parsed),
         "analyze" => simple(commands::analyze(&parsed)),
@@ -63,10 +74,6 @@ fn main() {
         // A socket worker for a `dist` driver: exit 0 clean, 3 when an
         // injected fault-plan crash fired.
         "node" => commands::node(&parsed),
-        "" | "help" | "--help" | "-h" => {
-            print!("{}", commands::USAGE);
-            Ok(0)
-        }
         other => Err(CliError::Usage(format!(
             "unknown command `{other}` (try `parapsp help`)"
         ))),

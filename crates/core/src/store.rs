@@ -11,12 +11,13 @@
 //! * [`StoreKind::Dense`] — today's layout, the default and the
 //!   bit-identity reference. Published rows are lent as plain `&[u32]`
 //!   borrows at zero cost.
-//! * [`StoreKind::Delta`] — published rows are delta-encoded (zig-zag
-//!   varint) against estimates triangulated from a small set of dense
-//!   *reference rows*: the first `k` published rows. Under the hub-first
-//!   orderings the engines already use, those are exactly the landmark
-//!   hubs, so the estimates are tight and most deltas are one byte. Reads
-//!   decode through a bounded hot-row cache.
+//! * [`StoreKind::Delta`] — published rows are delta-encoded (a
+//!   fixed-width plane of zig-zag codes plus an exception list) against
+//!   estimates triangulated from a small set of dense *reference rows*:
+//!   the first `k` published rows. Under the hub-first orderings the
+//!   engines already use, those are exactly the landmark hubs, so the
+//!   estimates are tight and most codes are one byte. Reads decode
+//!   through a bounded hot-row cache, in vectorized streaming passes.
 //! * [`StoreKind::Mmap`] — rows live in fixed-size file shards under a
 //!   scratch directory, written with `pwrite` and read back with `pread`
 //!   through a byte-budgeted LRU of hot decoded rows, so exact APSP
@@ -80,6 +81,7 @@ use parapsp_graph::INF;
 use parapsp_parfor::spec;
 
 use crate::dist::{zeroed_cells, DistanceMatrix};
+use crate::relax;
 use crate::shared::SharedDistState;
 
 // ---------------------------------------------------------------------------
@@ -1128,16 +1130,24 @@ type EncodedSlot = UnsafeCell<Option<Box<[u8]>>>;
 /// ```text
 /// count: u8                       — reference rows used (< 0xFF)
 /// count × (id: u32, d_s_ref: u32) — the ref ids and d(s, ref), verbatim
-/// n × varint(zigzag(d(s,v) − est(v)))
+/// width: u8                       — bytes per code: 1, 2 or 4
+/// exceptions: u32
+/// n × width bytes                 — zigzag(d(s,v) − est(v)), wrapping;
+///                                   all-ones if it does not fit
+/// exceptions × (v: u32, d: u32)   — those cells verbatim, ascending v
 /// ```
 ///
 /// where `est(v) = min over refs r of d(s,r) ⊕ refrow_r[v]` (saturating;
-/// `INF` participates as a plain `u32::MAX`). Recording `d(s, ref)` in
-/// the header makes every row self-contained: decode needs only the
-/// (append-only, never evicted) reference-row set, in any order. The
-/// first `max_refs` published rows become the reference set — under the
-/// hub-first source orderings the engines use, those are the highest-
-/// degree hubs, the same vertices landmark triangulation would pick.
+/// `INF` participates as a plain `u32::MAX`). The width is the one that
+/// minimises `n·width + 8·exceptions`, and width 4 never escapes, so a
+/// row takes at most `4n` bytes plus its `1 + 8·count + 5`-byte header —
+/// never more than dense — and ~1 byte per cell on small-world graphs.
+/// Recording `d(s, ref)` in the header makes every row self-contained:
+/// decode needs only the (append-only, never evicted) reference-row set,
+/// in any order. The first `max_refs` published rows become the
+/// reference set — under the hub-first source orderings the engines use,
+/// those are the highest-degree hubs, the same vertices landmark
+/// triangulation would pick.
 ///
 /// The decode-ahead worker holds an `Arc` of [`DeltaInner`];
 /// `decode_ahead` is declared first so it drops (and joins the worker)
@@ -1240,7 +1250,7 @@ impl DeltaInner {
         let enc: Box<[u8]> = if is_ref {
             Box::new([REF_MARKER])
         } else {
-            encode_delta_row(row, &refs)
+            encode_delta_row(row, &refs, CodecIsa::detect())
         };
         self.bytes.fetch_add(enc.len() as u64, Ordering::Relaxed);
         // SAFETY: unique owner of slot `s`, before publication.
@@ -1262,7 +1272,7 @@ impl DeltaInner {
         // The refs guard is released at the end of this statement — it
         // is never held while the cache lock is taken (no lock cycle).
         let refs = Arc::clone(&self.refs.lock().expect("refs mutex"));
-        decode_delta_row(self.payload(s), s, &refs, out);
+        decode_delta_row(self.payload(s), s, &refs, out, CodecIsa::detect());
     }
 
     fn read_row_into(&self, s: u32, out: &mut [u32]) -> bool {
@@ -1370,49 +1380,12 @@ fn pin_or_decode<'a>(
     })
 }
 
-/// Zig-zag encoding: small magnitudes (either sign) become small codes.
-#[inline]
-fn zigzag(v: i64) -> u64 {
-    ((v << 1) ^ (v >> 63)) as u64
-}
-
-#[inline]
-fn unzigzag(z: u64) -> i64 {
-    ((z >> 1) as i64) ^ -((z & 1) as i64)
-}
-
-fn write_varint(buf: &mut Vec<u8>, mut z: u64) {
-    loop {
-        let byte = (z & 0x7F) as u8;
-        z >>= 7;
-        if z == 0 {
-            buf.push(byte);
-            break;
-        }
-        buf.push(byte | 0x80);
-    }
-}
-
-fn read_varint(bytes: &[u8], pos: &mut usize) -> u64 {
-    let mut z = 0u64;
-    let mut shift = 0u32;
-    loop {
-        let b = bytes[*pos];
-        *pos += 1;
-        z |= ((b & 0x7F) as u64) << shift;
-        if b & 0x80 == 0 {
-            return z;
-        }
-        shift += 7;
-    }
-}
-
 /// How many reference rows one encoded row *names*. Encode and decode
 /// both cost O(n × named refs) per row — naming the whole `delta:K` set
 /// made the row round trip scale with K (the dominant cost of the delta
 /// backend at K = 16). A handful of well-chosen refs captures nearly all
 /// of the triangulation win, and the header names refs explicitly, so
-/// decode needs no change and old payloads stay readable.
+/// decode reads whatever count a payload names.
 const MAX_REFS_PER_ROW: usize = 4;
 /// Cells sampled per candidate ref when scoring which refs to name.
 const REF_SCORE_SAMPLES: usize = 64;
@@ -1447,31 +1420,263 @@ fn choose_refs<'a>(row: &[u32], refs: &'a [RefRow]) -> Vec<&'a RefRow> {
     scored.iter().map(|&(_, i)| &refs[i]).collect()
 }
 
-fn encode_delta_row(row: &[u32], refs: &[RefRow]) -> Box<[u8]> {
-    debug_assert!(refs.len() < REF_MARKER as usize);
-    let chosen = choose_refs(row, refs);
-    let mut buf = Vec::with_capacity(1 + chosen.len() * 8 + row.len());
-    buf.push(chosen.len() as u8);
-    let mut d_ref: Vec<u32> = Vec::with_capacity(chosen.len());
-    for r in &chosen {
-        let d = row[r.id as usize];
-        buf.extend_from_slice(&r.id.to_le_bytes());
-        buf.extend_from_slice(&d.to_le_bytes());
-        d_ref.push(d);
-    }
-    for (v, &d) in row.iter().enumerate() {
-        // Triangulated estimate of d(s, v): the best two-hop route
-        // `s → ref → v`, saturating, with INF as plain u32::MAX.
-        let mut est = INF;
-        for (r, &dr) in chosen.iter().zip(&d_ref) {
-            est = est.min(dr.saturating_add(r.data[v]));
-        }
-        write_varint(&mut buf, zigzag(d as i64 - est as i64));
-    }
-    buf.into_boxed_slice()
+/// Bytes between the ref list and the code plane: `width: u8` and
+/// `exceptions: u32`.
+const PLANE_HEADER: usize = 5;
+/// Bytes of one exception record, `(v: u32, d: u32)`.
+const EXCEPTION_BYTES: usize = 8;
+
+/// Zig-zag code of a wrapping difference read as `i32`: small magnitudes
+/// of either sign become small codes. A bijection on `u32`, so every
+/// `(est, d)` pair round-trips through [`unzigzag`] exactly — `INF` next
+/// to a finite estimate (and the reverse) included.
+#[inline(always)]
+fn zigzag(delta: u32) -> u32 {
+    (delta << 1) ^ ((delta as i32 >> 31) as u32)
 }
 
-fn decode_delta_row(enc: &[u8], s: u32, refs: &[RefRow], out: &mut [u32]) {
+#[inline(always)]
+fn unzigzag(code: u32) -> u32 {
+    (code >> 1) ^ (code & 1).wrapping_neg()
+}
+
+/// The all-ones escape of a `width`-byte code. At width 4 every code
+/// fits (the plane then holds the code itself), so nothing escapes.
+fn escape_code(width: usize) -> u32 {
+    match width {
+        1 => 0xFF,
+        2 => 0xFFFF,
+        _ => u32::MAX,
+    }
+}
+
+/// Codec pass 1, once per named reference: folds `d ⊕ data[v]` into
+/// `est[v]` with the saturating identity of `relax.rs`,
+/// `d ⊕ x = d + min(x, !d)`.
+#[inline(always)]
+fn fold_ref_pass(est: &mut [u32], d: u32, data: &[u32]) {
+    let not_d = !d;
+    for (e, &x) in est.iter_mut().zip(data) {
+        *e = (*e).min(d + x.min(not_d));
+    }
+}
+
+/// Codec pass 2 (decode): `out[v] = est[v] + unzigzag(code[v])`, wrapping,
+/// with `out` holding the estimates on entry.
+#[inline(always)]
+fn apply_pass(out: &mut [u32], plane: &[u8], width: usize) {
+    match width {
+        1 => {
+            for (o, &c) in out.iter_mut().zip(plane) {
+                *o = o.wrapping_add(unzigzag(u32::from(c)));
+            }
+        }
+        2 => {
+            for (o, c) in out.iter_mut().zip(plane.chunks_exact(2)) {
+                let code = u32::from(u16::from_le_bytes([c[0], c[1]]));
+                *o = o.wrapping_add(unzigzag(code));
+            }
+        }
+        _ => {
+            for (o, c) in out.iter_mut().zip(plane.chunks_exact(4)) {
+                let code = u32::from_le_bytes([c[0], c[1], c[2], c[3]]);
+                *o = o.wrapping_add(unzigzag(code));
+            }
+        }
+    }
+}
+
+/// Encode code pass: replaces each estimate with its code,
+/// `codes[v] = zigzag(row[v] − est[v])`, and counts the codes that do not
+/// fit 1 and 2 bytes.
+#[inline(always)]
+fn code_pass(codes: &mut [u32], row: &[u32]) -> [usize; 2] {
+    // u32 counters keep the reduction in the lane width of the data.
+    let (mut wide1, mut wide2) = (0u32, 0u32);
+    for (c, &d) in codes.iter_mut().zip(row) {
+        let code = zigzag(d.wrapping_sub(*c));
+        *c = code;
+        wide1 += u32::from(code >= escape_code(1));
+        wide2 += u32::from(code >= escape_code(2));
+    }
+    [wide1 as usize, wide2 as usize]
+}
+
+/// Encode pack pass: writes each code as `width` little-endian bytes,
+/// saturated at the width's all-ones escape.
+#[inline(always)]
+fn pack_pass(plane: &mut [u8], codes: &[u32], width: usize) {
+    match width {
+        1 => {
+            for (p, &code) in plane.iter_mut().zip(codes) {
+                *p = code.min(0xFF) as u8;
+            }
+        }
+        2 => {
+            for (p, &code) in plane.chunks_exact_mut(2).zip(codes) {
+                p.copy_from_slice(&(code.min(0xFFFF) as u16).to_le_bytes());
+            }
+        }
+        _ => {
+            for (p, &code) in plane.chunks_exact_mut(4).zip(codes) {
+                p.copy_from_slice(&code.to_le_bytes());
+            }
+        }
+    }
+}
+
+/// Which compilation of the codec passes runs. Each pass above is one
+/// `#[inline(always)]` body, built twice: for the baseline target, and
+/// inside the `#[target_feature(enable = "avx2")]` wrappers of [`avx2`],
+/// where the same loops vectorize 8 lanes wide with native unsigned min.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum CodecIsa {
+    Plain,
+    /// Only ever constructed when [`relax::avx2_available`] holds.
+    Avx2,
+}
+
+/// Runs codec pass `$pass` on `$isa`'s compilation.
+macro_rules! codec_dispatch {
+    ($isa:expr, $pass:ident($($arg:expr),* $(,)?)) => {
+        match $isa {
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: `CodecIsa::Avx2` exists only where the CPU reports
+            // AVX2 (see `CodecIsa::detect`).
+            CodecIsa::Avx2 => unsafe { avx2::$pass($($arg),*) },
+            _ => $pass($($arg),*),
+        }
+    };
+}
+
+impl CodecIsa {
+    /// The fastest compilation the running CPU supports.
+    fn detect() -> CodecIsa {
+        if relax::avx2_available() {
+            CodecIsa::Avx2
+        } else {
+            CodecIsa::Plain
+        }
+    }
+
+    fn fold_ref(self, est: &mut [u32], d: u32, data: &[u32]) {
+        codec_dispatch!(self, fold_ref_pass(est, d, data))
+    }
+
+    fn apply(self, out: &mut [u32], plane: &[u8], width: usize) {
+        codec_dispatch!(self, apply_pass(out, plane, width))
+    }
+
+    fn code(self, codes: &mut [u32], row: &[u32]) -> [usize; 2] {
+        codec_dispatch!(self, code_pass(codes, row))
+    }
+
+    fn pack(self, plane: &mut [u8], codes: &[u32], width: usize) {
+        codec_dispatch!(self, pack_pass(plane, codes, width))
+    }
+}
+
+/// The codec passes compiled with AVX2 enabled.
+///
+/// # Safety
+///
+/// Every function here requires a CPU with AVX2; [`CodecIsa::detect`]
+/// checks that before any of them is called.
+#[cfg(target_arch = "x86_64")]
+mod avx2 {
+    /// # Safety
+    ///
+    /// The CPU must support AVX2.
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn fold_ref_pass(est: &mut [u32], d: u32, data: &[u32]) {
+        super::fold_ref_pass(est, d, data)
+    }
+
+    /// # Safety
+    ///
+    /// The CPU must support AVX2.
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn apply_pass(out: &mut [u32], plane: &[u8], width: usize) {
+        super::apply_pass(out, plane, width)
+    }
+
+    /// # Safety
+    ///
+    /// The CPU must support AVX2.
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn code_pass(codes: &mut [u32], row: &[u32]) -> [usize; 2] {
+        super::code_pass(codes, row)
+    }
+
+    /// # Safety
+    ///
+    /// The CPU must support AVX2.
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn pack_pass(plane: &mut [u8], codes: &[u32], width: usize) {
+        super::pack_pass(plane, codes, width)
+    }
+}
+
+fn read_u32(bytes: &[u8], pos: usize) -> u32 {
+    u32::from_le_bytes(bytes[pos..pos + 4].try_into().expect("4 bytes"))
+}
+
+thread_local! {
+    /// Per-thread estimate/code scratch of [`encode_delta_row`]: one row of
+    /// `u32`, reused across the rows a thread publishes.
+    static ENCODE_SCRATCH: std::cell::RefCell<Vec<u32>> = const { std::cell::RefCell::new(Vec::new()) };
+}
+
+/// Encodes `row` against the best of `refs` in [`DeltaStore`]'s layout.
+fn encode_delta_row(row: &[u32], refs: &[RefRow], isa: CodecIsa) -> Box<[u8]> {
+    debug_assert!(refs.len() < REF_MARKER as usize);
+    let n = row.len();
+    let chosen = choose_refs(row, refs);
+    ENCODE_SCRATCH.with_borrow_mut(|codes| {
+        codes.clear();
+        codes.resize(n, INF);
+        for r in &chosen {
+            isa.fold_ref(codes, row[r.id as usize], &r.data);
+        }
+        let [wide1, wide2] = isa.code(codes, row);
+        // The width that minimises the payload; width 4 never escapes,
+        // so no row outgrows its dense 4n bytes plus the header.
+        let (width, exceptions) = [(1, wide1), (2, wide2), (4, 0)]
+            .into_iter()
+            .min_by_key(|&(width, exceptions)| n * width + EXCEPTION_BYTES * exceptions)
+            .expect("three candidate widths");
+        let len = 1 + 8 * chosen.len() + PLANE_HEADER + n * width + EXCEPTION_BYTES * exceptions;
+        let mut buf = Vec::with_capacity(len);
+        buf.push(chosen.len() as u8);
+        for r in &chosen {
+            buf.extend_from_slice(&r.id.to_le_bytes());
+            buf.extend_from_slice(&row[r.id as usize].to_le_bytes());
+        }
+        buf.push(width as u8);
+        buf.extend_from_slice(&(exceptions as u32).to_le_bytes());
+        let plane_at = buf.len();
+        buf.resize(plane_at + n * width, 0);
+        isa.pack(&mut buf[plane_at..], codes, width);
+        if exceptions > 0 {
+            let escape = escape_code(width);
+            for (v, (&code, &d)) in codes.iter().zip(row).enumerate() {
+                if code >= escape {
+                    buf.extend_from_slice(&(v as u32).to_le_bytes());
+                    buf.extend_from_slice(&d.to_le_bytes());
+                }
+            }
+        }
+        debug_assert_eq!(
+            buf.len(),
+            len,
+            "exception count disagrees with the code pass"
+        );
+        buf.into_boxed_slice()
+    })
+}
+
+/// Decodes row `s`'s payload `enc` into `out`.
+fn decode_delta_row(enc: &[u8], s: u32, refs: &[RefRow], out: &mut [u32], isa: CodecIsa) {
     if enc[0] == REF_MARKER {
         let r = refs
             .iter()
@@ -1480,30 +1685,35 @@ fn decode_delta_row(enc: &[u8], s: u32, refs: &[RefRow], out: &mut [u32]) {
         out.copy_from_slice(&r.data);
         return;
     }
-    let count = enc[0] as usize;
+    // Pass 1: the estimate from the refs named in the header, with
+    // d(s, ref) verbatim — the set only grows, so every named ref is
+    // still present.
+    out.fill(INF);
     let mut pos = 1usize;
-    // The refs named in the header, with d(s, ref) verbatim — the set
-    // only grows, so every named ref is still present.
-    let mut used: Vec<(u32, &[u32])> = Vec::with_capacity(count);
-    for _ in 0..count {
-        let id = u32::from_le_bytes(enc[pos..pos + 4].try_into().expect("header"));
-        let d = u32::from_le_bytes(enc[pos + 4..pos + 8].try_into().expect("header"));
+    for _ in 0..enc[0] {
+        let (id, d) = (read_u32(enc, pos), read_u32(enc, pos + 4));
         pos += 8;
         let r = refs
             .iter()
             .find(|r| r.id == id)
             .expect("encode-time reference still present");
-        used.push((d, &r.data));
+        isa.fold_ref(out, d, &r.data);
     }
-    for (v, slot) in out.iter_mut().enumerate() {
-        let mut est = INF;
-        for &(d, data) in &used {
-            est = est.min(d.saturating_add(data[v]));
-        }
-        let delta = unzigzag(read_varint(enc, &mut pos));
-        *slot = (est as i64 + delta) as u32;
+    let width = usize::from(enc[pos]);
+    let exceptions = read_u32(enc, pos + 1) as usize;
+    pos += PLANE_HEADER;
+    let (plane, patches) = enc[pos..].split_at(out.len() * width);
+    debug_assert_eq!(
+        patches.len(),
+        EXCEPTION_BYTES * exceptions,
+        "trailing bytes in encoded row"
+    );
+    // Pass 2: estimate plus code, every cell.
+    isa.apply(out, plane, width);
+    // Pass 3: the escaped cells, verbatim.
+    for record in patches.chunks_exact(EXCEPTION_BYTES) {
+        out[read_u32(record, 0) as usize] = read_u32(record, 4);
     }
-    debug_assert_eq!(pos, enc.len(), "trailing bytes in encoded row");
 }
 
 // ---------------------------------------------------------------------------
@@ -2089,7 +2299,7 @@ mod tests {
         }
         let dense_bytes = 4 * (n as u64) * (n as u64);
         let stored = store.stored_bytes();
-        // The varint floor is one byte per cell, so the best possible is
+        // The code plane's floor is one byte per cell, so the best possible is
         // just under 4× smaller than dense; near-zero deltas must get
         // close to that floor.
         assert!(
@@ -2223,15 +2433,274 @@ mod tests {
         assert!(!dir.exists(), "drop must remove {}", dir.display());
     }
 
+    /// splitmix64: the codec fixtures' deterministic generator.
+    fn splitmix(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    /// Every compilation of the codec passes this CPU can run.
+    fn codec_isas() -> Vec<CodecIsa> {
+        let mut isas = vec![CodecIsa::Plain];
+        if relax::avx2_available() {
+            isas.push(CodecIsa::Avx2);
+        }
+        isas
+    }
+
+    /// The estimate the codec triangulates for every cell.
+    fn reference_estimate(row: &[u32], refs: &[RefRow]) -> Vec<u32> {
+        (0..row.len())
+            .map(|v| {
+                refs.iter()
+                    .map(|r| row[r.id as usize].saturating_add(r.data[v]))
+                    .min()
+                    .unwrap_or(INF)
+            })
+            .collect()
+    }
+
+    /// A row of `n` cells against `nrefs` reference rows, built from
+    /// `seed`. `mode` picks the dominant cell class (a quarter of the
+    /// cells mix in every other class):
+    /// 0. small deltas — width 1;
+    /// 1. deltas of a few hundred to tens of thousands — width 2 or
+    ///    1-byte escapes;
+    /// 2. arbitrary `u32` values — width 4;
+    /// 3. `INF` cells next to finite estimates;
+    /// 4. cap-style positive deltas, and refs with `INF` cells so that
+    ///    finite cells meet `est = INF` (a directed graph's unreachable
+    ///    hubs).
+    fn codec_fixture(n: usize, nrefs: usize, mode: u64, seed: u64) -> (Vec<u32>, Vec<RefRow>) {
+        let mut state = seed;
+        let mut next = move || splitmix(&mut state);
+        let inf_share = if mode == 4 { 2 } else { 8 };
+        let mut row = vec![0u32; n];
+        // Evenly spaced, so the ids are distinct whenever nrefs <= n.
+        let refs: Vec<RefRow> = (0..nrefs)
+            .map(|i| {
+                let id = (i * n / nrefs) as u32;
+                row[id as usize] = if next() % 6 == 0 {
+                    INF
+                } else {
+                    (next() % 50) as u32
+                };
+                let data = (0..n)
+                    .map(|_| {
+                        if next() % inf_share == 0 {
+                            INF
+                        } else {
+                            (next() % 1000) as u32
+                        }
+                    })
+                    .collect();
+                RefRow { id, data }
+            })
+            .collect();
+        let est = reference_estimate(&row, &refs);
+        for v in 0..n {
+            if refs.iter().any(|r| r.id as usize == v) {
+                continue;
+            }
+            let class = if next() % 4 == 0 { next() % 5 } else { mode };
+            let e = est[v];
+            row[v] = match class {
+                0 => e.wrapping_add((next() % 241) as u32).wrapping_sub(120),
+                1 => {
+                    let magnitude = 128 + (next() % 30_000) as u32;
+                    if next() % 2 == 0 {
+                        e.wrapping_add(magnitude)
+                    } else {
+                        e.wrapping_sub(magnitude)
+                    }
+                }
+                2 => next() as u32,
+                3 => INF,
+                _ => {
+                    if e == INF {
+                        (next() % 100_000) as u32
+                    } else {
+                        e.saturating_add(1 + (next() % (1 << 20)) as u32)
+                    }
+                }
+            };
+        }
+        (row, refs)
+    }
+
+    /// The parsed plane header of a non-reference payload:
+    /// `(width, exceptions)`.
+    fn plane_header(enc: &[u8]) -> (usize, usize) {
+        let at = 1 + 8 * enc[0] as usize;
+        (enc[at] as usize, read_u32(enc, at + 1) as usize)
+    }
+
     #[test]
-    fn varint_zigzag_round_trips_extremes() {
-        let mut buf = Vec::new();
-        for v in [0i64, 1, -1, 127, -128, u32::MAX as i64, -(u32::MAX as i64)] {
-            buf.clear();
-            write_varint(&mut buf, zigzag(v));
-            let mut pos = 0;
-            assert_eq!(unzigzag(read_varint(&buf, &mut pos)), v);
-            assert_eq!(pos, buf.len());
+    fn codec_zigzag_is_a_bijection_with_short_codes_near_the_estimate() {
+        for (est, d) in [
+            (0, 0),
+            (5, 7),
+            (7, 5),
+            (0, u32::MAX),
+            (u32::MAX, 0),
+            (INF, 12),
+            (12, INF),
+            (1 << 31, 0),
+            (0, 1 << 31),
+        ] {
+            let code = zigzag(d.wrapping_sub(est));
+            assert_eq!(est.wrapping_add(unzigzag(code)), d, "est {est} d {d}");
+        }
+        // INF next to a finite estimate, either way round, is one byte.
+        assert!(zigzag(INF.wrapping_sub(5)) < 0xFF);
+        assert!(zigzag(12u32.wrapping_sub(INF)) < 0xFF);
+        for code in [0, 1, 2, 0xFE, 0xFF, 0xFFFF, u32::MAX] {
+            assert_eq!(zigzag(unzigzag(code)), code);
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn codec_round_trips_random_rows_with_zero_to_four_refs(
+            n in 1usize..300,
+            nrefs in 0usize..=4,
+            mode in 0u64..5,
+            seed in proptest::prelude::any::<u64>(),
+        ) {
+            let nrefs = nrefs.min(n);
+            let (row, refs) = codec_fixture(n, nrefs, mode, seed);
+            let est = reference_estimate(&row, &refs);
+            let codes: Vec<u32> = row
+                .iter()
+                .zip(&est)
+                .map(|(&d, &e)| zigzag(d.wrapping_sub(e)))
+                .collect();
+            let wide = |width: usize| codes.iter().filter(|&&c| c >= escape_code(width)).count();
+            let best = (n + 8 * wide(1)).min(2 * n + 8 * wide(2)).min(4 * n);
+            let header = 1 + 8 * nrefs + PLANE_HEADER;
+            let mut payloads = Vec::new();
+            for isa in codec_isas() {
+                let enc = encode_delta_row(&row, &refs, isa);
+                let (width, exceptions) = plane_header(&enc);
+                // The cheapest width, with exactly its escapes listed.
+                proptest::prop_assert_eq!(enc.len(), header + best, "{:?}", isa);
+                if width < 4 {
+                    proptest::prop_assert_eq!(exceptions, wide(width));
+                } else {
+                    proptest::prop_assert_eq!(exceptions, 0);
+                }
+                proptest::prop_assert!(enc.len() <= header + 4 * n);
+                for decode_isa in codec_isas() {
+                    let mut out = vec![0xDEAD_BEEF; n];
+                    decode_delta_row(&enc, u32::MAX, &refs, &mut out, decode_isa);
+                    proptest::prop_assert_eq!(
+                        &out, &row,
+                        "mode {} width {} encoded {:?} decoded {:?}", mode, width, isa, decode_isa
+                    );
+                }
+                payloads.push(enc);
+            }
+            proptest::prop_assert!(payloads.windows(2).all(|w| w[0] == w[1]));
+        }
+    }
+
+    #[test]
+    fn codec_every_width_round_trips_with_its_escapes() {
+        let n = 257;
+        let mut seen = [false; 3];
+        let mut seen_escapes = [false; 2];
+        for mode in 0..5 {
+            for seed in 0..40 {
+                let (row, refs) = codec_fixture(n, 1 + (seed as usize % 4), mode, seed);
+                let enc = encode_delta_row(&row, &refs, CodecIsa::detect());
+                let (width, exceptions) = plane_header(&enc);
+                seen[width.trailing_zeros() as usize] = true;
+                if width < 4 && exceptions > 0 {
+                    seen_escapes[width - 1] = true;
+                }
+                let mut out = vec![0; n];
+                decode_delta_row(&enc, u32::MAX, &refs, &mut out, CodecIsa::detect());
+                assert_eq!(out, row, "mode {mode} seed {seed} width {width}");
+            }
+        }
+        assert_eq!(seen, [true; 3], "fixtures must reach every width");
+        assert_eq!(seen_escapes, [true; 2], "widths 1 and 2 must escape");
+    }
+
+    #[test]
+    fn codec_all_escape_row_picks_width_four_within_dense_bytes() {
+        let n = 1000;
+        let refs = vec![RefRow {
+            id: 0,
+            data: vec![0; n].into(),
+        }];
+        // est = 0 everywhere; every code needs more than two bytes, and
+        // d = 2^31 is the code u32::MAX, the width-4 all-ones value.
+        let mut row: Vec<u32> = (0..n as u32).map(|v| (1 << 20) + v * 4099).collect();
+        row[0] = 0;
+        row[1] = 1 << 31;
+        row[2] = INF;
+        assert_eq!(zigzag(row[1]), u32::MAX);
+        let header = 1 + 8 + PLANE_HEADER;
+        for isa in codec_isas() {
+            let enc = encode_delta_row(&row, &refs, isa);
+            assert_eq!(plane_header(&enc), (4, 0), "{isa:?}");
+            assert_eq!(enc.len(), header + 4 * n, "{isa:?}");
+            let mut out = vec![0; n];
+            decode_delta_row(&enc, 9, &refs, &mut out, isa);
+            assert_eq!(out, row, "{isa:?}");
+        }
+    }
+
+    #[test]
+    fn codec_plain_and_avx2_passes_are_bit_identical() {
+        if !relax::avx2_available() {
+            eprintln!("skipped: this CPU has no AVX2 compilation to compare");
+            return;
+        }
+        let mut state = 0x5EED;
+        let mut random = |len: usize| -> Vec<u32> {
+            (0..len)
+                .map(|_| match splitmix(&mut state) % 4 {
+                    0 => INF,
+                    1 => splitmix(&mut state) as u32,
+                    _ => (splitmix(&mut state) % 300) as u32,
+                })
+                .collect()
+        };
+        // Odd lengths exercise every vector remainder.
+        for n in [0usize, 1, 7, 8, 31, 33, 1000, 1027] {
+            let (data, row, est) = (random(n), random(n), random(n));
+            for d in [0, 3, 1 << 31, INF - 1, INF] {
+                let mut plain = est.clone();
+                let mut avx2 = est.clone();
+                CodecIsa::Plain.fold_ref(&mut plain, d, &data);
+                CodecIsa::Avx2.fold_ref(&mut avx2, d, &data);
+                assert_eq!(plain, avx2, "fold_ref n {n} d {d}");
+            }
+            let mut plain = est.clone();
+            let mut avx2 = est.clone();
+            let counts = CodecIsa::Plain.code(&mut plain, &row);
+            assert_eq!(CodecIsa::Avx2.code(&mut avx2, &row), counts, "code n {n}");
+            assert_eq!(plain, avx2, "code n {n}");
+            for width in [1, 2, 4] {
+                let mut plain_plane = vec![0u8; n * width];
+                let mut avx2_plane = vec![0u8; n * width];
+                CodecIsa::Plain.pack(&mut plain_plane, &plain, width);
+                CodecIsa::Avx2.pack(&mut avx2_plane, &plain, width);
+                assert_eq!(plain_plane, avx2_plane, "pack n {n} width {width}");
+                let plane: Vec<u8> = random(n * width).iter().map(|&c| c as u8).collect();
+                let mut plain_out = est.clone();
+                let mut avx2_out = est.clone();
+                CodecIsa::Plain.apply(&mut plain_out, &plane, width);
+                CodecIsa::Avx2.apply(&mut avx2_out, &plane, width);
+                assert_eq!(plain_out, avx2_out, "apply n {n} width {width}");
+            }
         }
     }
 }
